@@ -10,7 +10,6 @@ from .nn import (
     Optimizer,
     StateError,
     TrainingDiverged,
-    apply_update,
     init_mlp,
     mse_loss,
     train_network,

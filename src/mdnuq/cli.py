@@ -31,7 +31,6 @@ from .policy import (
     evaluate_suite,
     write_metrics_csv,
     write_replay_csv,
-    run_episode,
 )
 from .synthetic import (
     SCENARIO_KINDS,
@@ -251,21 +250,19 @@ def cmd_drive(cfg: dict[str, object], run_dir: Path, jobs: int = 1) -> None:
     )
     seeds = int(cfg["drive.seeds"])
     seed_base = int(cfg["drive.seed_base"])
+    keep_replays = bool(int(cfg["drive.replays"]))
     rows = evaluate_suite(
-        policies, seeds, densities, bundle, seed_base=seed_base, jobs=jobs
+        policies, seeds, densities, bundle,
+        seed_base=seed_base, jobs=jobs, keep_replays=keep_replays,
     )
     write_metrics_csv(rows, run_dir / "metrics.csv")
-    if int(cfg["drive.replays"]):
+    if keep_replays:
         replay_dir = run_dir / "replays"
         replay_dir.mkdir()
-        for density in densities:
-            for kind in policies:
-                for s in range(seeds):
-                    _, replay = run_episode(
-                        kind, seed_base + s, bundle, density=density
-                    )
-                    name = f"{kind.value}_d{density:g}_s{seed_base + s}.csv"
-                    write_replay_csv(replay, replay_dir / name)
+        for r in rows:
+            for s, replay in enumerate(r.replays):
+                name = f"{r.policy}_d{r.density:g}_s{seed_base + s}.csv"
+                write_replay_csv(replay, replay_dir / name)
     print(f"metrics written to {run_dir / 'metrics.csv'}")
     for r in rows:
         print(

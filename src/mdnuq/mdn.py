@@ -187,13 +187,12 @@ class MdnModel:
                 f"head width {self.cfg.raw_dim}"
             )
 
-    def raw(self, x: np.ndarray, **kwargs) -> np.ndarray:
-        return self.net.forward(x, **kwargs)
-
     def gmm(self, x: np.ndarray) -> GmmParams:
-        return head_transform(self.net.forward(x), self.cfg)
+        """Mixture for a single input: a batch of one through `gmm_batch`."""
+        return self.gmm_batch(np.reshape(x, (1, -1))).row(0)
 
     def gmm_batch(self, x: np.ndarray) -> GmmBatch:
+        """Mixtures for a batch of inputs (n, in): one forward pass, one transform."""
         return transform_batch(self.net.forward(np.atleast_2d(x)), self.cfg)
 
     def save(self, path) -> None:

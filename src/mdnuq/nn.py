@@ -64,14 +64,6 @@ class DenseLayer:
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ConfigError("layer weights must be (out, in) with matching bias")
 
-    @property
-    def fan_in(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def fan_out(self) -> int:
-        return self.weights.shape[0]
-
     def linear(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weights.T + self.biases
 
@@ -248,13 +240,6 @@ class Optimizer:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def apply_update(
-    net: MlpNetwork, grads: list[tuple[np.ndarray, np.ndarray]], opt: Optimizer
-) -> MlpNetwork:
-    opt.apply(net, grads)
-    return net
 
 
 def mse_loss(raw: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

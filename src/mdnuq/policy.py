@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import uncertainty
 from .mdn import MdnModel, TrainingSet, TrainSchedule, train_mdn, predict_map
 from .nn import ConfigError, MlpConfig, MlpNetwork, Optimizer, init_mlp, mse_loss, train_network
 from .sim import (
@@ -87,7 +88,6 @@ class SwitchConfig:
     immediate_switch_distance_ualfd: float = 1.5
     immediate_switch_distance_others: float = 2.5
     uncertainty_channel: str = "explained"
-    min_safe_ticks: int = 0  # optional hysteresis; 0 re-evaluates every tick
 
     @property
     def log_threshold(self) -> float:
@@ -333,13 +333,23 @@ def count_expert_collisions(
     )
 
 
-def learned_policy(model: MdnModel | MlpNetwork, features: FeatureVector, track: Track) -> HeadingTarget:
-    """Decode the network's heading prediction (MAP mixture for mixture models)."""
-    x = features.normalized(track)
-    if isinstance(model, MdnModel):
-        mean, _, _ = predict_map(model, x)
+def learned_policy(
+    model: MdnModel | MlpNetwork,
+    features: FeatureVector,
+    track: Track,
+    scored: uncertainty.UncertaintyReport | None = None,
+) -> HeadingTarget:
+    """Decode the network's heading prediction (MAP mixture for mixture models).
+
+    `scored` is the report a gated policy already made for these features;
+    its MAP mean is the heading, so the tick needs no second forward pass.
+    """
+    if scored is not None:
+        mean = scored.map_mean
+    elif isinstance(model, MdnModel):
+        mean, _, _ = predict_map(model, features.normalized(track))
     else:
-        mean = model.forward(x)
+        mean = model.forward(features.normalized(track))
     return HeadingTarget(float(mean[0]), float(mean[1]))
 
 
@@ -439,8 +449,6 @@ def run_episode(
     ego_lane: int = 2,
 ) -> tuple[EpisodeMetrics, list[list]]:
     """Simulate one seeded episode; returns metrics and per-tick replay rows."""
-    from .uncertainty import report  # local import: uncertainty depends on mdn only
-
     track = track or Track()
     switch = switch or SwitchConfig(
         uncertainty_channel="unexplained" if kind is PolicyKind.UALFD2 else "explained"
@@ -465,7 +473,6 @@ def run_episode(
     lane_seq: list[int] = []
     mode_seq: list[str] = []
     replay: list[list] = []
-    safe_ticks_left = 0
 
     for _tick in range(max_ticks):
         if detect_collision(sim.state, track):
@@ -480,34 +487,31 @@ def run_episode(
         lane = track.lane_index(ego.y)
         theta_dev = wrap_angle_deg(ego.heading_deg)
 
-        uncertainty = math.nan
+        u_tick = math.nan
+        scored = None
         if kind is PolicyKind.SAFE_MODE:
             mode = "safe"
         else:
-            u_gate = None
             if gated:
-                rep = report(model, features.normalized(track))
-                uncertainty = (
-                    rep.explained_sum
+                scored = uncertainty.report(model, features.normalized(track))
+                u_tick = (
+                    scored.explained_sum
                     if switch.uncertainty_channel == "explained"
-                    else rep.unexplained_sum
+                    else scored.unexplained_sum
                 )
-                u_gate = uncertainty
             mode = decide_mode(
-                u_gate, features.front_center, switch_distance, switch.log_threshold
+                u_tick if gated else None,
+                features.front_center,
+                switch_distance,
+                switch.log_threshold,
             )
-            if mode == "safe":
-                safe_ticks_left = switch.min_safe_ticks
-            elif safe_ticks_left > 0:
-                safe_ticks_left -= 1
-                mode = "safe"
 
         if mode == "safe":
             speeds = center_lane_speeds(sim.state, track)
             v_mps, w = safe_controller(features, speeds, theta_dev, features.lane_offset)
             v_kmh = v_mps / KMH_TO_MPS
         else:
-            target = learned_policy(model, features, track)
+            target = learned_policy(model, features, track, scored)
             w = feedback_heading_controller(ego.heading_deg, target.angle_deg())
             v_kmh = CRUISE_SPEED_KMH
 
@@ -517,7 +521,7 @@ def run_episode(
         lane_seq.append(lane)
         mode_seq.append(mode)
         replay.append(
-            [sim.state.time, ego.x, ego.y, ego.heading_deg, ego.speed_kmh, mode, uncertainty]
+            [sim.state.time, ego.x, ego.y, ego.heading_deg, ego.speed_kmh, mode, u_tick]
             + list(features.as_array())
         )
 
@@ -570,18 +574,21 @@ class SuiteRow:
     switch_count: float
     safe_mode_fraction: float
     episodes: list[EpisodeMetrics] = field(default_factory=list)
+    replays: list[list[list]] = field(default_factory=list)  # per seed, when kept
 
 
 _WORKER_CONTEXT: dict = {}
 
 
-def _worker_init(models: ModelBundle, track: Track | None, switch: SwitchConfig | None) -> None:
-    _WORKER_CONTEXT.update(models=models, track=track, switch=switch)
+def _worker_init(
+    models: ModelBundle, track: Track | None, switch: SwitchConfig | None, keep_replays: bool
+) -> None:
+    _WORKER_CONTEXT.update(models=models, track=track, switch=switch, keep_replays=keep_replays)
 
 
-def _worker_episode(task: tuple[str, float, int]) -> EpisodeMetrics:
+def _worker_episode(task: tuple[str, float, int]) -> tuple[EpisodeMetrics, list[list]]:
     kind_value, density, seed = task
-    metrics, _ = run_episode(
+    metrics, replay = run_episode(
         PolicyKind(kind_value),
         seed,
         _WORKER_CONTEXT["models"],
@@ -589,7 +596,7 @@ def _worker_episode(task: tuple[str, float, int]) -> EpisodeMetrics:
         switch=_WORKER_CONTEXT["switch"],
         density=density,
     )
-    return metrics
+    return metrics, (replay if _WORKER_CONTEXT["keep_replays"] else [])
 
 
 def evaluate_suite(
@@ -602,11 +609,13 @@ def evaluate_suite(
     switch: SwitchConfig | None = None,
     seed_base: int = 0,
     jobs: int = 1,
+    keep_replays: bool = False,
 ) -> list[SuiteRow]:
     """Per-policy, per-density means of episode metrics over seeded episodes.
 
     With `jobs` > 1 episodes run in a process pool; results are merged in
-    task order, so the output is identical to a serial run.
+    task order, so the output is identical to a serial run. `keep_replays`
+    keeps each episode's replay rows in `SuiteRow.replays`, in seed order.
     """
     if num_seeds < 1:
         raise ConfigError("need at least one seed")
@@ -620,19 +629,22 @@ def evaluate_suite(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(models, track, switch)
+            max_workers=jobs,
+            initializer=_worker_init,
+            initargs=(models, track, switch, keep_replays),
         ) as pool:
-            all_metrics = list(pool.map(_worker_episode, tasks, chunksize=4))
+            results = list(pool.map(_worker_episode, tasks, chunksize=4))
     else:
-        _worker_init(models, track, switch)
-        all_metrics = [_worker_episode(t) for t in tasks]
+        _worker_init(models, track, switch, keep_replays)
+        results = [_worker_episode(t) for t in tasks]
 
     rows = []
     index = 0
     for density in density_levels:
         for kind in policies:
-            episodes = all_metrics[index : index + num_seeds]
+            chunk = results[index : index + num_seeds]
             index += num_seeds
+            episodes = [metrics for metrics, _ in chunk]
             rows.append(
                 SuiteRow(
                     policy=kind.value,
@@ -648,6 +660,7 @@ def evaluate_suite(
                         np.mean([m.safe_mode_fraction for m in episodes])
                     ),
                     episodes=episodes,
+                    replays=[replay for _, replay in chunk] if keep_replays else [],
                 )
             )
     return rows

@@ -107,27 +107,18 @@ def grid_points(resolution: int) -> np.ndarray:
 
 
 def evaluate_grid(model: MdnModel, resolution: int) -> GridEval:
+    """Reports for every cell from one batched `report`: one forward pass."""
     pts = grid_points(resolution)
-    d = model.cfg.output_dim
-    m = len(pts)
-    out = GridEval(
+    rep = report(model, pts)
+    return GridEval(
         points=pts,
         resolution=resolution,
-        map_mean=np.empty((m, d)),
-        map_index=np.empty(m, dtype=int),
-        total=np.empty((m, d)),
-        explained=np.empty((m, d)),
-        unexplained=np.empty((m, d)),
+        map_mean=rep.map_mean,
+        map_index=rep.map_index,
+        total=rep.total_variance,
+        explained=rep.explained,
+        unexplained=rep.unexplained,
     )
-    for i, p in enumerate(pts):
-        rep = report(model, p)
-        g = model.gmm(p)
-        out.map_mean[i] = g.means[rep.map_index]
-        out.map_index[i] = rep.map_index
-        out.total[i] = rep.total_variance
-        out.explained[i] = rep.explained
-        out.unexplained[i] = rep.unexplained
-    return out
 
 
 QUADRANTS = ("q1", "q2", "q3", "q4")

@@ -14,38 +14,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdn import GmmParams, MdnModel, head_transform
+from .mdn import GmmBatch, GmmParams, MdnModel, head_transform
+
+Mixture = GmmParams | GmmBatch
 
 
-def total_mean(g: GmmParams) -> np.ndarray:
+def _mix(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mixture-weighted sum over the K axis: (K,) with (K, d) gives (d,), and
+    (n, K) with (n, K, d) gives (n, d). A stacked matmul, so a batch of one
+    sums in the same order as a single mixture."""
+    return (weights[..., None, :] @ values)[..., 0, :]
+
+
+def _spread(g: Mixture, mean: np.ndarray) -> np.ndarray:
+    dev = g.means - mean[..., None, :]
+    return dev * dev
+
+
+def total_mean(g: Mixture) -> np.ndarray:
     """Mixture-weighted mean, one value per output dimension."""
-    return g.weights @ g.means
+    return _mix(g.weights, g.means)
 
 
-def explained_variance(g: GmmParams) -> np.ndarray:
+def explained_variance(g: Mixture) -> np.ndarray:
     """Variance over the mixture index of the mixture means, per dimension."""
-    dev = g.means - total_mean(g)
-    return g.weights @ (dev * dev)
+    return _mix(g.weights, _spread(g, total_mean(g)))
 
 
-def unexplained_variance(g: GmmParams) -> np.ndarray:
+def unexplained_variance(g: Mixture) -> np.ndarray:
     """Mixture-weighted average of the per-mixture variances, per dimension."""
-    return g.weights @ g.variances
+    return _mix(g.weights, g.variances)
 
 
-def total_variance(g: GmmParams) -> np.ndarray:
+def total_variance(g: Mixture) -> np.ndarray:
     """Predictive variance of the mixture, per dimension."""
-    dev = g.means - total_mean(g)
-    return g.weights @ (g.variances + dev * dev)
+    return _mix(g.weights, g.variances + _spread(g, total_mean(g)))
 
 
 @dataclass
 class UncertaintyReport:
+    """Moments of one mixture ((d,) arrays, int `map_index`) or of a batch
+    ((n, d) arrays, (n,) `map_index`); the scalar properties and `to_record`
+    apply to a single input."""
+
     total_mean: np.ndarray
     total_variance: np.ndarray
     explained: np.ndarray
     unexplained: np.ndarray
-    map_index: int
+    map_index: int | np.ndarray
+    map_mean: np.ndarray  # mean of the heaviest mixture
 
     @property
     def explained_sum(self) -> float:
@@ -55,10 +72,6 @@ class UncertaintyReport:
     @property
     def unexplained_sum(self) -> float:
         return float(self.unexplained.sum())
-
-    @property
-    def total_sum(self) -> float:
-        return float(self.total_variance.sum())
 
     def to_record(self) -> dict:
         rec: dict = {}
@@ -73,19 +86,36 @@ class UncertaintyReport:
         return rec
 
 
-def report_from_gmm(g: GmmParams) -> UncertaintyReport:
+def report_from_gmm(g: Mixture) -> UncertaintyReport:
+    """All moments of a mixture or a batch of mixtures, the total mean once."""
+    mean = total_mean(g)
+    spread = _spread(g, mean)
+    map_index = np.argmax(g.weights, axis=-1)
+    if map_index.ndim == 0:
+        map_index = int(map_index)
+        map_mean = g.means[map_index]
+    else:
+        map_mean = g.means[np.arange(len(map_index)), map_index]
     return UncertaintyReport(
-        total_mean=total_mean(g),
-        total_variance=total_variance(g),
-        explained=explained_variance(g),
-        unexplained=unexplained_variance(g),
-        map_index=int(np.argmax(g.weights)),
+        total_mean=mean,
+        total_variance=_mix(g.weights, g.variances + spread),
+        explained=_mix(g.weights, spread),
+        unexplained=_mix(g.weights, g.variances),
+        map_index=map_index,
+        map_mean=map_mean,
     )
 
 
 def report(model: MdnModel, x: np.ndarray) -> UncertaintyReport:
-    """Full decomposition from one deterministic forward pass; no sampling."""
-    return report_from_gmm(model.gmm(x))
+    """Full decomposition from one deterministic forward pass; no sampling.
+
+    `x` is one input (in,) or a batch (n, in). Both run as a batch, through
+    one forward pass and one head transform; a single input is a batch of
+    one whose mixture is squeezed back to (K, d) before the moments, so its
+    report has (d,) arrays and an int `map_index`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return report_from_gmm(model.gmm_batch(x) if x.ndim == 2 else model.gmm(x))
 
 
 @dataclass
@@ -115,6 +145,9 @@ def mc_dropout_variance(
     d = model.cfg.output_dim
     means = np.empty((num_samples, d))
     variances = np.empty((num_samples, d))
+    # The T passes stay sequential on purpose: this is the sampling comparator
+    # that criterion 8 times against one single-pass `report`, and batching
+    # its passes would change what that comparison measures.
     for t in range(num_samples):
         raw = model.net.forward(x, mode="eval", rng=rng, stochastic_eval=True)
         g = head_transform(raw, model.cfg)

@@ -52,10 +52,12 @@ def test_criterion_8_timing(ctx):
     check(acceptance.criterion_timing(ctx))
 
 
+@pytest.mark.slow
 def test_criterion_9_driving_safety(ctx):
     check(acceptance.criterion_driving_safety(ctx))
 
 
+@pytest.mark.slow
 def test_criterion_10_channel_comparison(ctx):
     check(acceptance.criterion_channel_comparison(ctx))
 
@@ -79,6 +81,7 @@ def test_composition_branch_reconstruction(ctx):
     assert frac >= 0.90
 
 
+@pytest.mark.slow
 def test_expert_runs_500_scenes_without_collision():
     # noiseless expert (ambiguity coins off) with the critical-distance fallback
     rnd = DemoRandomization(noise_far_deg=0.0, noise_near_deg=0.0, marginal_gain_m=1e9)
@@ -87,6 +90,7 @@ def test_expert_runs_500_scenes_without_collision():
     assert count_expert_collisions(500, rnd, seed=4242) == 0
 
 
+@pytest.mark.slow
 def test_gated_episode_is_deterministic(ctx):
     from mdnuq.policy import run_episode
 
@@ -97,6 +101,7 @@ def test_gated_episode_is_deterministic(ctx):
     assert replay_a == replay_b
 
 
+@pytest.mark.slow
 def test_ualfd_k1_never_gates_on_uncertainty(ctx):
     bundle, _, _ = ctx.driving()
     from mdnuq.policy import ModelBundle, run_episode

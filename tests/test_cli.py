@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mdnuq import policy
 from mdnuq.cli import main, read_config_file, resolve_config
 from mdnuq.mdn import MdnConfig, build_mdn
 from mdnuq.modelio import load_model
@@ -154,6 +155,43 @@ def test_drive_writes_replays(tmp_path):
     assert len(replays) == 1
     header = replays[0].read_text().splitlines()[0]
     assert header.startswith("time,x,y,heading_deg,speed_kmh,mode,uncertainty")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_drive_simulates_each_episode_once(tmp_path, monkeypatch, jobs):
+    calls, scenes = [], []
+    original = policy.run_episode
+    build_scene = policy._build_scene
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    def counting_scenes(*args):
+        scenes.append(args)
+        return build_scene(*args)
+
+    monkeypatch.setattr(policy, "run_episode", counting)
+    # every simulated episode builds its scene, whoever calls it
+    monkeypatch.setattr(policy, "_build_scene", counting_scenes)
+    code = run_cli(
+        "--out-dir", str(tmp_path), "--jobs", jobs, "drive",
+        "--set", "drive.policies=safe_mode",
+        "--set", "drive.seeds=3",
+        "--set", "drive.replays=1",
+        "--set", "drive.densities=0.5",
+    )
+    assert code == 0
+    if jobs == "1":  # pool workers count in their own processes
+        assert len(calls) == 3
+        assert len(scenes) == 3
+    (run_dir,) = run_dirs(tmp_path)
+    for s in range(3):
+        _, replay = original(policy.PolicyKind.SAFE_MODE, s, policy.ModelBundle(), density=0.5)
+        direct = tmp_path / "direct.csv"
+        policy.write_replay_csv(replay, direct)
+        written = run_dir / "replays" / f"safe_mode_d0.5_s{s}.csv"
+        assert written.read_bytes() == direct.read_bytes()
 
 
 def test_bench_rejects_single_sample(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdnuq.mdn import GmmParams, build_mdn
-from mdnuq.nn import ConfigError, MlpConfig, init_mlp
+from mdnuq.nn import ConfigError, MlpConfig, MlpNetwork, init_mlp
 from mdnuq.policy import (
     CollectionError,
     DemoRandomization,
@@ -24,7 +24,7 @@ from mdnuq.policy import (
     METRICS_COLUMNS,
 )
 from mdnuq.sim import CarState, D_MAX, SimState, Track, extract_features
-from mdnuq.uncertainty import report_from_gmm
+from mdnuq.uncertainty import report, report_from_gmm
 
 
 def features_for(track, ego, traffic):
@@ -210,6 +210,8 @@ def test_learned_policy_decodes_bias_heading():
     mdn = build_mdn(7, [4], 2, 2, seed=1)
     t2 = learned_policy(mdn, f, track)
     assert math.isfinite(t2.angle_deg())
+    # a gated tick hands over the report it scored: same heading, no forward pass
+    assert learned_policy(mdn, f, track, report(mdn, f.normalized(track))) == t2
 
 
 # --- episodes ----------------------------------------------------------------
@@ -265,3 +267,33 @@ def test_evaluate_suite_single_seed_matches_episode(tmp_path):
     write_metrics_csv(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(METRICS_COLUMNS)
+
+
+def test_gated_tick_runs_one_forward_pass(monkeypatch):
+    model = build_mdn(7, [16], 3, 2, seed=3)
+    calls = []
+    original = MlpNetwork.forward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MlpNetwork, "forward", counting)
+    # a threshold no mixture reaches keeps every tick past the distance rule learned
+    switch = SwitchConfig(log_explained_threshold=50.0)
+    _, replay = run_episode(
+        PolicyKind.UALFD, 5, ModelBundle(mdn_k10=model), switch=switch, timeout_s=2.0
+    )
+    assert any(row[5] == "learned" for row in replay)
+    assert len(calls) == len(replay)
+
+
+def test_evaluate_suite_keeps_replays_in_seed_order():
+    bundle = ModelBundle()
+    rows = evaluate_suite(
+        [PolicyKind.SAFE_MODE], 2, [0.5], bundle, seed_base=3, keep_replays=True
+    )
+    assert [len(r.replays) for r in rows] == [2]
+    for s, replay in enumerate(rows[0].replays):
+        assert replay == run_episode(PolicyKind.SAFE_MODE, 3 + s, bundle, density=0.5)[1]
+    assert evaluate_suite([PolicyKind.SAFE_MODE], 1, [0.5], bundle)[0].replays == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdnuq.mdn import build_mdn
-from mdnuq.nn import ConfigError
+from mdnuq.nn import ConfigError, MlpNetwork
 from mdnuq.synthetic import (
     GridEval,
     ScenarioSpec,
@@ -109,6 +109,30 @@ def test_grid_eval_k1_explained_is_zero(tmp_path):
     assert rows[0] == ["x1", "x2", "map_mean", "total", "explained", "unexplained"]
     assert len(rows) == 26
     assert all(float(r[4]) == 0.0 for r in rows[1:])
+
+
+def test_grid_runs_one_forward_pass(monkeypatch):
+    model = build_mdn(2, [8], 3, 1, seed=1)
+    modes = []
+    original = MlpNetwork.forward
+
+    def counting(self, x, mode="eval", **kwargs):
+        modes.append(mode)
+        return original(self, x, mode, **kwargs)
+
+    monkeypatch.setattr(MlpNetwork, "forward", counting)
+    grid = evaluate_grid(model, 12)
+    assert modes == ["eval"]
+    assert grid.explained.shape == (144, 1)
+
+
+def test_grid_map_mean_is_the_heaviest_mixture_mean():
+    model = build_mdn(2, [8], 3, 1, seed=2)
+    grid = evaluate_grid(model, 6)
+    for i, p in enumerate(grid.points):
+        g = model.gmm(p)
+        assert grid.map_index[i] == np.argmax(g.weights)
+        assert grid.map_mean[i, 0] == pytest.approx(g.means[grid.map_index[i], 0], rel=1e-12)
 
 
 def test_quadrant_stats_constant_grid():

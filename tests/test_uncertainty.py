@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdnuq.mdn import GmmParams, build_mdn
+from mdnuq.mdn import GmmBatch, GmmParams, build_mdn
 from mdnuq.uncertainty import (
     explained_variance,
     mc_dropout_variance,
@@ -179,3 +179,59 @@ def test_mc_dropout_variance_is_nonnegative():
 def test_report_from_gmm_map_index():
     g = gmm([0.2, 0.7, 0.1], [[0.0], [1.0], [2.0]], np.ones((3, 1)))
     assert report_from_gmm(g).map_index == 1
+
+
+# --- the batched path: one forward pass for many inputs ----------------------
+
+REPORT_ARRAYS = ("total_mean", "total_variance", "explained", "unexplained", "map_mean")
+
+
+def test_batch_report_agrees_row_by_row_with_single_reports():
+    model = build_mdn(3, [16, 16], 4, 2, seed=11)
+    x = np.random.default_rng(5).normal(size=(40, 3))
+    batch = report(model, x)
+    assert batch.map_index.shape == (40,)
+    for i, xi in enumerate(x):
+        one = report(model, xi)
+        assert isinstance(one.map_index, int)
+        assert one.map_index == batch.map_index[i]
+        for name in REPORT_ARRAYS:
+            single, row = getattr(one, name), getattr(batch, name)[i]
+            assert single.shape == (2,)
+            assert np.all(np.abs(row - single) <= 1e-12 * np.abs(single)), name
+
+
+def test_batch_of_one_keeps_batch_shapes():
+    model = build_mdn(3, [8], 4, 2, seed=11)
+    rep = report(model, np.zeros((1, 3)))
+    assert rep.explained.shape == (1, 2)
+    assert rep.map_index.shape == (1,)
+
+
+def test_batch_total_variance_is_explained_plus_unexplained():
+    model = build_mdn(2, [16], 5, 3, seed=12)
+    rep = report(model, np.random.default_rng(6).uniform(-6, 6, size=(200, 2)))
+    parts = rep.explained + rep.unexplained
+    assert np.all(np.abs(rep.total_variance - parts) <= 1e-12 * rep.total_variance)
+
+
+def test_batch_k1_explained_is_exactly_zero():
+    model = build_mdn(2, [16], 1, 2, seed=13)
+    rep = report(model, np.random.default_rng(7).uniform(-6, 6, size=(200, 2)))
+    assert np.all(rep.explained == 0.0)
+    assert np.all(rep.map_index == 0)
+
+
+def test_moments_accept_a_batch_of_mixtures():
+    rng = np.random.default_rng(8)
+    w = rng.random((6, 4)) + 1e-3
+    w /= w.sum(axis=1, keepdims=True)
+    batch = GmmBatch(w, rng.normal(0.0, 3.0, (6, 4, 3)), rng.uniform(0.05, 4.5, (6, 4, 3)))
+    for fn in (total_mean, explained_variance, unexplained_variance, total_variance):
+        got = fn(batch)
+        assert got.shape == (6, 3)
+        for i in range(6):
+            assert np.array_equal(got[i], fn(batch.row(i))), fn.__name__
+    rep = report_from_gmm(batch)
+    assert np.array_equal(rep.map_index, np.argmax(w, axis=1))
+    assert np.array_equal(rep.map_mean, batch.means[np.arange(6), rep.map_index])
