@@ -97,11 +97,10 @@ class TrainingSet:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) is exp(-x) for x >= 0 and exp(x) below, so it never overflows;
+    # min(x, -x) rather than -abs(x) keeps the sign bit of a NaN input as is
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.clip(out, _SIGMOID_MARGIN, 1.0 - _SIGMOID_MARGIN)
 
 

@@ -6,6 +6,13 @@ positive angular velocity steers left). Lane 0 is the rightmost lane; lane
 centers sit at (i + 0.5) * lane_width. Cars are oriented rectangles; ticks
 run at 10 Hz. Traffic cars keep their lane at a scripted cruise speed with
 a simple car-following slowdown when blocked.
+
+The per-tick scans give the same bits as all-pairs scans but spend their
+costly work only where it can matter. Collision detection runs the
+separating-axis test only on cars whose circumscribed circle meets the
+ego's, since rectangles whose circles do not meet cannot overlap. Features
+and traffic car-following look up each car's lane once per call, then read
+only the lanes they need.
 """
 
 from __future__ import annotations
@@ -136,14 +143,15 @@ def wrap_angle_deg(angle: float) -> float:
 def extract_features(state: SimState, track: Track, d_max: float = D_MAX) -> FeatureVector:
     ego = state.ego
     lane = track.lane_index(ego.y)
+    by_lane: list[list[CarState]] = [[] for _ in range(track.num_lanes)]
+    for car in state.traffic:
+        by_lane[track.lane_index(car.y)].append(car)
     gaps = {}
     for label, rel in (("left", 1), ("center", 0), ("right", -1)):
         target = lane + rel
         front = rear = d_max
         if 0 <= target < track.num_lanes:
-            for car in state.traffic:
-                if track.lane_index(car.y) != target:
-                    continue
+            for car in by_lane[target]:
                 half = 0.5 * (car.length + ego.length)
                 if car.x > ego.x:
                     front = min(front, max(car.x - ego.x - half, 0.0))
@@ -268,7 +276,18 @@ def detect_collision(state: SimState, track: Track) -> bool:
     )
     if ego.y - lateral_extent < 0.0 or ego.y + lateral_extent > track.width:
         return True
-    return any(boxes_overlap(ego, car) for car in state.traffic)
+    ego_radius = 0.5 * math.hypot(ego.length, ego.width)
+    for car in state.traffic:
+        # Bounding-circle prefilter: a car whose centre lies beyond the two
+        # half-diagonals cannot overlap the ego. The relative pad only lets
+        # more cars through to the exact test, so rounding never hides an
+        # overlap; a NaN distance is not `>` and falls through as well.
+        reach = (1.0 + 1e-9) * (ego_radius + 0.5 * math.hypot(car.length, car.width))
+        if math.hypot(car.x - ego.x, car.y - ego.y) > reach:
+            continue
+        if boxes_overlap(ego, car):
+            return True
+    return False
 
 
 def min_gap_to_cars(state: SimState) -> float:
@@ -276,8 +295,10 @@ def min_gap_to_cars(state: SimState) -> float:
     ego = state.ego
     best = math.inf
     for car in state.traffic:
-        dx = max(abs(car.x - ego.x) - 0.5 * (car.length + ego.length), 0.0)
         dy = max(abs(car.y - ego.y) - 0.5 * (car.width + ego.width), 0.0)
+        if dy >= best:  # hypot(dx, dy) >= dy: this car cannot lower the minimum
+            continue
+        dx = max(abs(car.x - ego.x) - 0.5 * (car.length + ego.length), 0.0)
         best = min(best, math.hypot(dx, dy))
     return best
 
@@ -315,14 +336,13 @@ def spawn_traffic(
     count = round(spec.density * track.num_lanes * (hi - lo) / spec.spacing_m)
     keep_clear = keep_clear or []
     placed: list[TrafficCar] = []
+    lane_xs: list[list[float]] = [[] for _ in range(track.num_lanes)]
     for _ in range(count):
         for attempt in range(200):
             lane = int(rng.integers(track.num_lanes))
             x = float(rng.uniform(lo, hi))
             ok = all(
-                abs(x - other.car.x) - CAR_LENGTH >= spec.min_gap_m
-                for other in placed
-                if track.lane_index(other.car.y) == lane
+                abs(x - other_x) - CAR_LENGTH >= spec.min_gap_m for other_x in lane_xs[lane]
             ) and all(
                 zone.lane != lane or abs(x - zone.x) >= zone.half_length
                 for zone in keep_clear
@@ -335,6 +355,7 @@ def spawn_traffic(
                         cruise_kmh=speed,
                     )
                 )
+                lane_xs[lane].append(x)
                 break
         else:
             raise SpawnError(
@@ -353,15 +374,25 @@ class Simulation:
         self.follow_gap_m = 10.0
 
     def _advance_traffic(self) -> None:
+        """Car-following: each car matches its leader's speed inside the follow gap.
+
+        The leader is the nearest car ahead in the same lane, the ego
+        included; among equal gaps the first in traffic order wins, the ego
+        last. Order along a lane is not assumed: a follower takes its
+        leader's previous speed, so traffic cars can pass through each other.
+        """
         track = self.track
         cars = [tc.car for tc in self.traffic] + [self.state.ego]
         lanes = [track.lane_index(c.y) for c in cars]
+        members: dict[int, list[CarState]] = {}
+        for car, lane in zip(cars, lanes):
+            members.setdefault(lane, []).append(car)
         speeds = []
-        for i, tc in enumerate(self.traffic):
+        for tc, lane in zip(self.traffic, lanes):
             car = tc.car
             lead_gap, lead_speed = math.inf, None
-            for j, other in enumerate(cars):
-                if j == i or lanes[j] != lanes[i] or other.x <= car.x:
+            for other in members[lane]:
+                if other.x <= car.x:  # also skips `car` itself
                     continue
                 gap = other.x - car.x - 0.5 * (other.length + car.length)
                 if gap < lead_gap:

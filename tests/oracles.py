@@ -7,6 +7,8 @@ library.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from mdnuq.mdn import GmmParams
@@ -91,3 +93,82 @@ def brute_force_features(ego, traffic, track, d_max: float):
         out[f"back_{name}"] = back
     out["lane_offset"] = ego.y - (ego_lane + 0.5) * track.lane_width
     return out
+
+
+def masked_sigmoid(x: np.ndarray, margin: float) -> np.ndarray:
+    """Logistic function by sign masks: exp(-x) where x >= 0, exp(x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, margin, 1.0 - margin)
+
+
+def _rectangle_corners(car):
+    rad = math.radians(car.heading_deg)
+    c, s = math.cos(rad), math.sin(rad)
+    hl, hw = 0.5 * car.length, 0.5 * car.width
+    return [
+        (car.x + a * c - b * s, car.y + a * s + b * c)
+        for a, b in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))
+    ]
+
+
+def rectangles_overlap(a, b) -> bool:
+    """Separating-axis test over both rectangles' edge normals, in plain loops."""
+    ca, cb = _rectangle_corners(a), _rectangle_corners(b)
+    for car in (a, b):
+        rad = math.radians(car.heading_deg)
+        for ax, ay in ((math.cos(rad), math.sin(rad)), (-math.sin(rad), math.cos(rad))):
+            pa = [x * ax + y * ay for x, y in ca]
+            pb = [x * ax + y * ay for x, y in cb]
+            if max(pa) < min(pb) or max(pb) < min(pa):
+                return False
+    return True
+
+
+def brute_force_collision(ego, traffic, track) -> bool:
+    """Ego body off the track laterally, or overlapping any car: every car is tested."""
+    rad = math.radians(ego.heading_deg)
+    half_extent = 0.5 * (ego.width * abs(math.cos(rad)) + ego.length * abs(math.sin(rad)))
+    if ego.y - half_extent < 0.0 or ego.y + half_extent > track.width:
+        return True
+    return any([rectangles_overlap(ego, car) for car in traffic])
+
+
+def brute_force_follow_speeds(traffic, ego, track, follow_gap: float) -> list[float]:
+    """Next speed of every traffic car from an all-pairs leader search.
+
+    The leader of car i is the car j != i (the ego included, last) in the same
+    lane and strictly ahead with the smallest bumper gap; the first such j in
+    order wins a tie. Inside `follow_gap` car i takes min(cruise, leader speed).
+    """
+    cars = [tc.car for tc in traffic] + [ego]
+    lanes = [min(int(c.y / track.lane_width), track.num_lanes - 1) for c in cars]
+    speeds = []
+    for i, tc in enumerate(traffic):
+        lead_gap, lead_speed = math.inf, None
+        for j, other in enumerate(cars):
+            if j == i or lanes[j] != lanes[i] or not other.x > tc.car.x:
+                continue
+            gap = other.x - tc.car.x - 0.5 * (other.length + tc.car.length)
+            if gap < lead_gap:
+                lead_gap, lead_speed = gap, other.speed_kmh
+        v = tc.cruise_kmh
+        if lead_speed is not None and lead_gap < follow_gap:
+            v = min(v, lead_speed)
+        speeds.append(v)
+    return speeds
+
+
+def brute_force_min_gap(ego, traffic) -> float:
+    """Smallest axis-aligned bumper gap over every car; inf with no traffic."""
+    gaps = [
+        math.hypot(
+            max(abs(car.x - ego.x) - 0.5 * (car.length + ego.length), 0.0),
+            max(abs(car.y - ego.y) - 0.5 * (car.width + ego.width), 0.0),
+        )
+        for car in traffic
+    ]
+    return min(gaps, default=math.inf)

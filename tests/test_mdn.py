@@ -11,6 +11,8 @@ from mdnuq.mdn import (
     TrainSchedule,
     TrainingSet,
     build_mdn,
+    _SIGMOID_MARGIN,
+    _stable_sigmoid,
     head_transform,
     load_mdn,
     nll_loss,
@@ -20,7 +22,7 @@ from mdnuq.mdn import (
 )
 from mdnuq.nn import ConfigError, MlpConfig, init_mlp
 
-from oracles import finite_difference
+from oracles import finite_difference, masked_sigmoid
 
 
 def test_uniform_logits_give_uniform_weights():
@@ -43,6 +45,15 @@ def test_extreme_logits_stay_finite():
     assert np.all(np.isfinite(g.weights))
     assert g.weights[0] == pytest.approx(1.0)
     assert g.weights[1] == pytest.approx(0.0, abs=1e-300)
+
+
+def test_sigmoid_matches_masked_reference_bit_for_bit():
+    special = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324,
+               math.inf, -math.inf, math.nan, -math.nan]
+    rng = np.random.default_rng(4)
+    for x in (np.array(special), rng.normal(0.0, 30.0, size=(128, 10, 2))):
+        got = _stable_sigmoid(x)
+        assert got.tobytes() == masked_sigmoid(x, _SIGMOID_MARGIN).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

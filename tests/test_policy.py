@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -57,9 +60,16 @@ def test_unnormalized_pair_decodes():
 def test_decide_mode_threshold_cases():
     cfg = SwitchConfig()
     t = cfg.log_explained_threshold
-    assert decide_mode(math.exp(-3), 50.0, 1.5, t) == "learned"
+    # the largest u with log(u) <= t, found by stepping so no libm rounding is assumed
+    u = math.exp(t)
+    while math.log(u) > t:
+        u = math.nextafter(u, 0.0)
+    while math.log(math.nextafter(u, math.inf)) <= t:
+        u = math.nextafter(u, math.inf)
+    assert decide_mode(u, 50.0, 1.5, t) == "learned"
+    assert decide_mode(math.nextafter(u, math.inf), 50.0, 1.5, t) == "safe"  # strict >
     assert decide_mode(math.exp(-1), 50.0, 1.5, t) == "safe"
-    assert decide_mode(math.exp(-3), 1.0, 1.5, t) == "safe"  # distance override
+    assert decide_mode(u, 1.0, 1.5, t) == "safe"  # distance override
     assert decide_mode(None, 2.0, 2.5, t) == "safe"
     assert decide_mode(None, 2.6, 2.5, t) == "learned"
     assert decide_mode(0.0, 50.0, 1.5, t) == "learned"  # zero variance never gates
@@ -238,6 +248,25 @@ def test_safe_mode_on_empty_road():
     assert metrics.reached_goal
     assert len(replay) > 0
     assert metrics.min_dist_to_cars == D_MAX
+
+
+GOLDEN_SAFE_MODE_DIGEST = "61b692d17aa3aca0c3d04301792dad0b32a441b4cc6b225994be5e60b2010bfa"
+
+
+def safe_mode_digest(scenes) -> str:
+    """SHA-256 over the metrics and replay rows of safe_mode episodes, floats by repr."""
+    digest = hashlib.sha256()
+    for scene in scenes:
+        metrics, replay = run_episode(PolicyKind.SAFE_MODE, scene, ModelBundle())
+        digest.update(json.dumps([sorted(asdict(metrics).items()), replay]).encode())
+    return digest.hexdigest()
+
+
+def test_safe_mode_episodes_match_golden_digest():
+    # Computed at commit a3984e3, before the simulator's collision prefilter
+    # and per-lane lookups; safe_mode needs no model, so any change here is
+    # a change in the simulator or the safe controller.
+    assert safe_mode_digest(range(10)) == GOLDEN_SAFE_MODE_DIGEST
 
 
 def test_run_episode_deterministic():

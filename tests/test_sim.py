@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mdnuq.sim import (
     Simulation,
     SpawnError,
     Track,
+    TrafficCar,
     TrafficSpec,
     boxes_overlap,
     center_lane_speeds,
@@ -28,7 +30,13 @@ from mdnuq.sim import (
     wrap_angle_deg,
 )
 
-from oracles import brute_force_features
+from oracles import (
+    brute_force_collision,
+    brute_force_features,
+    brute_force_follow_speeds,
+    brute_force_min_gap,
+    rectangles_overlap,
+)
 
 
 def make_track():
@@ -300,8 +308,6 @@ def test_traffic_car_following_slows_to_leader():
     track = make_track()
     slow = CarState(x=50.0, y=track.lane_center(1), speed_kmh=40.0)
     fast = CarState(x=40.0, y=track.lane_center(1), speed_kmh=80.0)
-    from mdnuq.sim import TrafficCar
-
     simu = Simulation(
         track,
         CarState(x=-100.0, y=track.lane_center(5), speed_kmh=90.0),
@@ -312,3 +318,113 @@ def test_traffic_car_following_slows_to_leader():
     gap = slow.x - fast.x - 4.5
     assert gap > 0.0  # never rear-ends
     assert fast.speed_kmh == pytest.approx(40.0)  # matched the leader
+
+
+def test_traffic_follows_the_ego_as_leader():
+    track = make_track()
+    ego = CarState(x=100.0, y=track.lane_center(2), speed_kmh=60.0)
+    behind = CarState(x=94.0, y=track.lane_center(2), speed_kmh=100.0)
+    simu = Simulation(track, ego, [TrafficCar(behind, 100.0)])
+    simu.step(60.0, 0.0)
+    assert behind.speed_kmh == 60.0  # 1.5 m behind the ego: matched its speed
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_traffic_follows_the_ego_mid_lane_change(side):
+    # the ego straddles the boundary between lanes 1 and 2, heading across it;
+    # it leads only the lane its centre lies in
+    track = make_track()
+    y = 2 * track.lane_width + side * 0.1
+    ego = CarState(x=100.0, y=y, heading_deg=-20.0 * side, speed_kmh=50.0)
+    in_lane_2 = CarState(x=92.0, y=track.lane_center(2), speed_kmh=100.0)
+    in_lane_1 = CarState(x=92.0, y=track.lane_center(1), speed_kmh=100.0)
+    simu = Simulation(track, ego, [TrafficCar(in_lane_2, 100.0), TrafficCar(in_lane_1, 100.0)])
+    simu.step(50.0, 0.0)
+    followers = (in_lane_2, in_lane_1) if side == 1 else (in_lane_1, in_lane_2)
+    assert followers[0].speed_kmh == 50.0
+    assert followers[1].speed_kmh == 100.0
+
+
+def _scene(seed):
+    return spawn_traffic(TrafficSpec(density=1.0, seed=seed), make_track())
+
+
+def test_collision_and_min_gap_match_brute_force_oracles():
+    """The bounding-circle prefilter never changes `detect_collision`, nor
+    the lateral skip `min_gap_to_cars`.
+
+    Egos are dropped next to traffic with rotated headings, some of them at
+    centre distances within 1e-6 of the sum of the half-diagonals, and some
+    corner to corner right at that sum, where the prefilter's cut lies.
+    """
+    track = make_track()
+    rng = np.random.default_rng(8)
+    radius = 0.5 * math.hypot(4.5, 1.8)
+    corner = math.degrees(math.atan2(1.8, 4.5))
+    outcomes = {True: 0, False: 0}
+    near_cut = 0
+    for seed in range(20):
+        traffic = [tc.car for tc in _scene(seed)]
+        for k in range(200):
+            cars = [
+                replace(c, heading_deg=float(rng.uniform(-30, 30))) if rng.random() < 0.2 else c
+                for c in traffic
+            ]
+            pick = int(rng.integers(len(cars)))
+            target = cars[pick]
+            heading = float(rng.uniform(-180, 180))
+            if k % 4 == 0:  # centre distance within 1e-6 of 2 * radius
+                bearing = math.radians(rng.uniform(-180, 180))
+                dist = 2 * radius + float(rng.uniform(-1e-6, 1e-6))
+                near_cut += 1
+            elif k % 4 == 1:  # corner to corner along the line of centres
+                target = cars[pick] = replace(target, heading_deg=0.0)
+                bearing = math.radians(corner)
+                heading = 0.0
+                dist = 2 * radius * (1.0 + float(rng.choice([-1e-8, 1e-8])))
+                near_cut += 1
+            else:
+                bearing = math.radians(rng.uniform(-180, 180))
+                dist = float(rng.uniform(0.0, 8.0))
+            ego = CarState(
+                x=target.x + dist * math.cos(bearing),
+                y=target.y + dist * math.sin(bearing),
+                heading_deg=heading,
+                speed_kmh=90.0,
+            )
+            state = SimState(ego=ego, traffic=cars)
+            got = detect_collision(state, track)
+            assert got == brute_force_collision(ego, cars, track)
+            assert min_gap_to_cars(state) == brute_force_min_gap(ego, cars)
+            if k % 4 == 1:
+                assert rectangles_overlap(ego, target) == (dist < 2 * radius)
+            outcomes[got] += 1
+    assert near_cut >= 2000 and min(outcomes.values()) >= 500
+
+
+def test_car_following_matches_all_pairs_oracle():
+    """Leader search over perturbed traffic: packed lanes, equal positions
+    (the first-found tie-break), mixed lengths and cars passing through each
+    other, against the all-pairs search, tick by tick."""
+    track = make_track()
+    rng = np.random.default_rng(9)
+    ticks = 0
+    for seed in range(20):
+        traffic = _scene(seed)
+        for tc in traffic:
+            tc.car.x = 60.0 + 0.4 * tc.car.x  # pack the lanes
+            if rng.random() < 0.3:
+                tc.car.length = 6.0
+            tc.car.speed_kmh = float(rng.uniform(30.0, 110.0))
+        for tc in traffic[1::7]:  # ties: share a lane mate's position
+            mate = next(o for o in traffic if o is not tc and o.car.y == tc.car.y)
+            tc.car.x = mate.car.x
+        lane = int(rng.integers(track.num_lanes))
+        ego = CarState(x=100.0, y=track.lane_center(lane), speed_kmh=70.0)
+        simu = Simulation(track, ego, traffic)
+        for _ in range(200):
+            want = brute_force_follow_speeds(traffic, simu.state.ego, track, simu.follow_gap_m)
+            simu.step(float(rng.uniform(20.0, 120.0)), 0.0)
+            assert [tc.car.speed_kmh for tc in traffic] == want
+            ticks += 1
+    assert ticks >= 4000
