@@ -100,8 +100,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) is exp(-x) for x >= 0 and exp(x) below, so it never overflows;
     # min(x, -x) rather than -abs(x) keeps the sign bit of a NaN input as is
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.clip(out, _SIGMOID_MARGIN, 1.0 - _SIGMOID_MARGIN)
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
+    # np.clip's bounds applied in place; NaN passes through both the same way
+    np.maximum(out, _SIGMOID_MARGIN, out=out)
+    return np.minimum(out, 1.0 - _SIGMOID_MARGIN, out=out)
 
 
 def _split_raw(raw: np.ndarray, cfg: MdnConfig):

@@ -10,15 +10,18 @@ a simple car-following slowdown when blocked.
 The per-tick scans give the same bits as all-pairs scans but spend their
 costly work only where it can matter. Collision detection runs the
 separating-axis test only on cars whose circumscribed circle meets the
-ego's, since rectangles whose circles do not meet cannot overlap. Features
-and traffic car-following look up each car's lane once per call, then read
-only the lanes they need.
+ego's, since rectangles whose circles do not meet cannot overlap. Features,
+center-lane speeds and traffic car-following read only the lanes they need
+from `SimState.traffic_by_lane`, a per-lane list of traffic indices that is
+kept across ticks and rebuilt only when the track's lanes or some car's
+lateral position change (traffic keeps its lane, so within an episode it is
+built once).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +67,8 @@ class Track:
         return (index + 0.5) * self.lane_width
 
     def lane_index(self, y: float) -> int:
-        """Nearest lane for a lateral position inside the track."""
+        """Lane containing a lateral position inside the track (the top edge counts
+        as the leftmost lane)."""
         if y < 0.0 or y > self.width:
             raise OffTrackError(f"lateral position {y:.2f} outside [0, {self.width:.2f}]")
         return min(int(y / self.lane_width), self.num_lanes - 1)
@@ -92,6 +96,24 @@ class SimState:
     traffic: list[CarState]
     time: float = 0.0
     dt: float = 0.1  # 10 Hz control frequency
+    _lane_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _by_lane: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def traffic_by_lane(self, track: Track) -> list[list[int]]:
+        """Indices into `traffic` per lane, in traffic order.
+
+        Rebuilt whenever the lane geometry or any car's `y` differs from the
+        last build, so moving, replacing, adding or removing a car never
+        leaves it stale. A car off the track raises `OffTrackError` and is
+        never stored.
+        """
+        key = (track.lane_width, track.num_lanes, [car.y for car in self.traffic])
+        if key != self._lane_key:
+            by_lane: list[list[int]] = [[] for _ in range(track.num_lanes)]
+            for i, car in enumerate(self.traffic):
+                by_lane[track.lane_index(car.y)].append(i)
+            self._lane_key, self._by_lane = key, by_lane
+        return self._by_lane
 
 
 @dataclass
@@ -143,20 +165,31 @@ def wrap_angle_deg(angle: float) -> float:
 def extract_features(state: SimState, track: Track, d_max: float = D_MAX) -> FeatureVector:
     ego = state.ego
     lane = track.lane_index(ego.y)
-    by_lane: list[list[CarState]] = [[] for _ in range(track.num_lanes)]
-    for car in state.traffic:
-        by_lane[track.lane_index(car.y)].append(car)
+    by_lane = state.traffic_by_lane(track)
+    cars = state.traffic
+    ex, el = ego.x, ego.length
     gaps = {}
     for label, rel in (("left", 1), ("center", 0), ("right", -1)):
         target = lane + rel
         front = rear = d_max
         if 0 <= target < track.num_lanes:
-            for car in by_lane[target]:
-                half = 0.5 * (car.length + ego.length)
-                if car.x > ego.x:
-                    front = min(front, max(car.x - ego.x - half, 0.0))
+            # `if 0.0 > g: g = 0.0` and `if g < best: best = g` are the
+            # builtins' max(g, 0.0) and min(best, g), NaN and -0.0 included
+            for i in by_lane[target]:
+                car = cars[i]
+                x, half = car.x, 0.5 * (car.length + el)
+                if x > ex:
+                    gap = x - ex - half
+                    if 0.0 > gap:
+                        gap = 0.0
+                    if gap < front:
+                        front = gap
                 else:
-                    rear = min(rear, max(ego.x - car.x - half, 0.0))
+                    gap = ex - x - half
+                    if 0.0 > gap:
+                        gap = 0.0
+                    if gap < rear:
+                        rear = gap
         gaps[label] = (min(front, d_max), min(rear, d_max))
     return FeatureVector(
         front_left=gaps["left"][0],
@@ -179,11 +212,11 @@ class NeighborSpeeds(NamedTuple):
 def center_lane_speeds(state: SimState, track: Track) -> NeighborSpeeds:
     ego = state.ego
     lane = track.lane_index(ego.y)
+    cars = state.traffic
     front = rear = None
     front_dx = rear_dx = math.inf
-    for car in state.traffic:
-        if track.lane_index(car.y) != lane:
-            continue
+    for i in state.traffic_by_lane(track)[lane]:
+        car = cars[i]
         dx = car.x - ego.x
         if dx > 0 and dx < front_dx:
             front_dx, front = dx, car.speed_kmh * KMH_TO_MPS
@@ -276,14 +309,22 @@ def detect_collision(state: SimState, track: Track) -> bool:
     )
     if ego.y - lateral_extent < 0.0 or ego.y + lateral_extent > track.width:
         return True
+    ex, ey = ego.x, ego.y
     ego_radius = 0.5 * math.hypot(ego.length, ego.width)
+    hypot = math.hypot
     for car in state.traffic:
         # Bounding-circle prefilter: a car whose centre lies beyond the two
         # half-diagonals cannot overlap the ego. The relative pad only lets
         # more cars through to the exact test, so rounding never hides an
         # overlap; a NaN distance is not `>` and falls through as well.
-        reach = (1.0 + 1e-9) * (ego_radius + 0.5 * math.hypot(car.length, car.width))
-        if math.hypot(car.x - ego.x, car.y - ego.y) > reach:
+        # Half of length + width is at least the half-diagonal and |dx| at
+        # most the centre distance, so the cheap x test drops only cars the
+        # circle test drops too.
+        dx = car.x - ex
+        if abs(dx) > (1.0 + 1e-9) * (ego_radius + 0.5 * (car.length + car.width)):
+            continue
+        reach = (1.0 + 1e-9) * (ego_radius + 0.5 * hypot(car.length, car.width))
+        if hypot(dx, car.y - ey) > reach:
             continue
         if boxes_overlap(ego, car):
             return True
@@ -293,13 +334,22 @@ def detect_collision(state: SimState, track: Track) -> bool:
 def min_gap_to_cars(state: SimState) -> float:
     """Smallest bumper-to-bumper gap to any traffic car (axis-aligned approximation)."""
     ego = state.ego
+    ex, ey, el, ew = ego.x, ego.y, ego.length, ego.width
+    hypot = math.hypot
     best = math.inf
     for car in state.traffic:
-        dy = max(abs(car.y - ego.y) - 0.5 * (car.width + ego.width), 0.0)
+        # the `if` clamps are max(d, 0.0) and min(best, d), NaN and -0.0 included
+        dy = abs(car.y - ey) - 0.5 * (car.width + ew)
+        if 0.0 > dy:
+            dy = 0.0
         if dy >= best:  # hypot(dx, dy) >= dy: this car cannot lower the minimum
             continue
-        dx = max(abs(car.x - ego.x) - 0.5 * (car.length + ego.length), 0.0)
-        best = min(best, math.hypot(dx, dy))
+        dx = abs(car.x - ex) - 0.5 * (car.length + el)
+        if 0.0 > dx:
+            dx = 0.0
+        gap = hypot(dx, dy)
+        if gap < best:
+            best = gap
     return best
 
 
@@ -365,7 +415,11 @@ def spawn_traffic(
 
 
 class Simulation:
-    """Owns one episode's state; deterministic given the initial scene."""
+    """Owns one episode's state; deterministic given the initial scene.
+
+    `state.traffic[i]` is `traffic[i].car`: a caller that adds, removes or
+    replaces a car does so in both lists.
+    """
 
     def __init__(self, track: Track, ego: CarState, traffic: list[TrafficCar], dt: float = 0.1):
         self.track = track
@@ -381,29 +435,34 @@ class Simulation:
         last. Order along a lane is not assumed: a follower takes its
         leader's previous speed, so traffic cars can pass through each other.
         """
-        track = self.track
-        cars = [tc.car for tc in self.traffic] + [self.state.ego]
-        lanes = [track.lane_index(c.y) for c in cars]
-        members: dict[int, list[CarState]] = {}
-        for car, lane in zip(cars, lanes):
-            members.setdefault(lane, []).append(car)
-        speeds = []
-        for tc, lane in zip(self.traffic, lanes):
-            car = tc.car
-            lead_gap, lead_speed = math.inf, None
-            for other in members[lane]:
-                if other.x <= car.x:  # also skips `car` itself
-                    continue
-                gap = other.x - car.x - 0.5 * (other.length + car.length)
-                if gap < lead_gap:
-                    lead_gap, lead_speed = gap, other.speed_kmh
-            v = tc.cruise_kmh
-            if lead_speed is not None and lead_gap < self.follow_gap_m:
-                v = min(v, lead_speed)
-            speeds.append(v)
-        for tc, v in zip(self.traffic, speeds):
-            tc.car.x += v * KMH_TO_MPS * self.state.dt
-            tc.car.speed_kmh = v
+        state, traffic, follow_gap = self.state, self.traffic, self.follow_gap_m
+        cars = state.traffic  # cars[i] is traffic[i].car
+        by_lane = state.traffic_by_lane(self.track)
+        ego = state.ego
+        ego_lane = self.track.lane_index(ego.y)
+        speeds = [0.0] * len(cars)
+        for lane, members in enumerate(by_lane):
+            mates = [cars[i] for i in members]
+            if lane == ego_lane:
+                mates.append(ego)
+            for i in members:
+                car = cars[i]
+                x, length = car.x, car.length
+                lead_gap, lead_speed = math.inf, None
+                for other in mates:
+                    other_x = other.x
+                    if other_x <= x:  # also skips `car` itself
+                        continue
+                    gap = other_x - x - 0.5 * (other.length + length)
+                    if gap < lead_gap:
+                        lead_gap, lead_speed = gap, other.speed_kmh
+                v = traffic[i].cruise_kmh
+                if lead_speed is not None and lead_gap < follow_gap and lead_speed < v:
+                    v = lead_speed  # min(v, lead_speed)
+                speeds[i] = v
+        for car, v in zip(cars, speeds):
+            car.x += v * KMH_TO_MPS * state.dt
+            car.speed_kmh = v
 
     def step(self, ego_v_kmh: float, ego_w_degps: float) -> None:
         """Advance everything one tick (traffic from the pre-step snapshot)."""

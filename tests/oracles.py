@@ -172,3 +172,22 @@ def brute_force_min_gap(ego, traffic) -> float:
         for car in traffic
     ]
     return min(gaps, default=math.inf)
+
+
+def brute_force_center_lane_speeds(ego, traffic, track):
+    """Speeds (m/s) of the nearest car strictly ahead and the nearest car at or
+    behind the ego in its lane, over every car; the first in order wins a tie,
+    and a side with no car reads None."""
+    def lane_of(y):
+        return min(int(y / track.lane_width), track.num_lanes - 1)
+
+    ahead, behind = [], []
+    for i, car in enumerate(traffic):
+        if lane_of(car.y) != lane_of(ego.y):
+            continue
+        dx = car.x - ego.x
+        (ahead if dx > 0 else behind).append((abs(dx), i))
+    return tuple(
+        traffic[min(side)[1]].speed_kmh * (1.0 / 3.6) if side else None
+        for side in (ahead, behind)
+    )

@@ -269,6 +269,22 @@ def test_safe_mode_episodes_match_golden_digest():
     assert safe_mode_digest(range(10)) == GOLDEN_SAFE_MODE_DIGEST
 
 
+GOLDEN_DEMONSTRATIONS_DIGEST = "7cacc89869f772f84e374392273c32765cce0e4d24d70c20e2451b561f7e9c81"
+
+
+def test_expert_demonstrations_match_golden_digest():
+    # Computed at commit 83ea77d, before the per-lane traffic index. The
+    # scripted expert changes lanes, which safe_mode barely does, so this
+    # pins features and car-following while the ego moves between lanes.
+    demos = collect_demonstrations(60, seed=100)
+    # the lane offset (column 6, in half lane widths) jumps by ~2 when the
+    # ego crosses into the next lane; within a lane a tick moves it < 0.8
+    crossings = np.abs(np.diff(demos.inputs[:, 6])) > 1.2
+    assert crossings.sum() >= 1
+    digest = hashlib.sha256(demos.inputs.tobytes() + demos.targets.tobytes()).hexdigest()
+    assert digest == GOLDEN_DEMONSTRATIONS_DIGEST
+
+
 def test_run_episode_deterministic():
     bundle = ModelBundle()
     a, replay_a = run_episode(PolicyKind.SAFE_MODE, 3, bundle, density=1.0)

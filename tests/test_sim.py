@@ -1,11 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdnuq.sim import (
+    CAR_LENGTH,
     CarState,
     D_MAX,
     KMH_TO_MPS,
@@ -31,6 +32,7 @@ from mdnuq.sim import (
 )
 
 from oracles import (
+    brute_force_center_lane_speeds,
     brute_force_collision,
     brute_force_features,
     brute_force_follow_speeds,
@@ -350,8 +352,8 @@ def _scene(seed):
 
 
 def test_collision_and_min_gap_match_brute_force_oracles():
-    """The bounding-circle prefilter never changes `detect_collision`, nor
-    the lateral skip `min_gap_to_cars`.
+    """The bounding-circle prefilter and the x skip before it never change
+    `detect_collision`, nor the lateral skip `min_gap_to_cars`.
 
     Egos are dropped next to traffic with rotated headings, some of them at
     centre distances within 1e-6 of the sum of the half-diagonals, and some
@@ -378,9 +380,12 @@ def test_collision_and_min_gap_match_brute_force_oracles():
                 dist = 2 * radius + float(rng.uniform(-1e-6, 1e-6))
                 near_cut += 1
             elif k % 4 == 1:  # corner to corner along the line of centres
-                target = cars[pick] = replace(target, heading_deg=0.0)
-                bearing = math.radians(corner)
-                heading = 0.0
+                # half of them tilted so the diagonals lie along x, where a
+                # touching pair's |dx| is largest
+                tilt = 0.0 if k % 8 == 1 else -corner
+                target = cars[pick] = replace(target, heading_deg=tilt)
+                bearing = math.radians(corner + tilt)
+                heading = tilt
                 dist = 2 * radius * (1.0 + float(rng.choice([-1e-8, 1e-8])))
                 near_cut += 1
             else:
@@ -428,3 +433,77 @@ def test_car_following_matches_all_pairs_oracle():
             assert [tc.car.speed_kmh for tc in traffic] == want
             ticks += 1
     assert ticks >= 4000
+
+
+def test_lane_index_follows_edits_to_a_reused_state():
+    """One Simulation and its SimState reused across edits between ticks: a
+    car moved across a lane boundary, a car replaced at the same `y`, a car
+    appended and one removed, and tracks with other lane geometry. After
+    each edit features, center-lane speeds and car-following match the
+    all-cars oracles."""
+    track = make_track()
+    traffic = _scene(3)
+    ego = CarState(x=150.0, y=track.lane_center(2), speed_kmh=80.0)
+    simu = Simulation(track, ego, traffic)
+    state = simu.state
+
+    def check(ticks=5):
+        for _ in range(ticks):
+            ego, cars, track = state.ego, state.traffic, simu.track
+            lanes = [min(int(c.y / track.lane_width), track.num_lanes - 1) for c in cars]
+            assert state.traffic_by_lane(track) == [
+                [i for i, lane in enumerate(lanes) if lane == k] for k in range(track.num_lanes)
+            ]
+            features = asdict(extract_features(state, simu.track))
+            assert features == brute_force_features(ego, cars, simu.track, D_MAX)
+            speeds = center_lane_speeds(state, simu.track)
+            assert tuple(speeds) == brute_force_center_lane_speeds(ego, cars, simu.track)
+            want = brute_force_follow_speeds(simu.traffic, ego, simu.track, simu.follow_gap_m)
+            simu.step(80.0, 0.0)
+            assert [tc.car.speed_kmh for tc in simu.traffic] == want
+        return features
+
+    def nearest(lane, ahead=True):
+        mates = [
+            i for i, c in enumerate(state.traffic)
+            if c.y == track.lane_center(lane) and (c.x > state.ego.x) == ahead
+        ]
+        return min(mates, key=lambda i: abs(state.traffic[i].x - state.ego.x))
+
+    index = state.traffic_by_lane(simu.track)
+    before = check()
+    assert state.traffic_by_lane(simu.track) is index  # ticks move cars along x only
+
+    # the ego's leader slides one lane left: the center gap opens
+    i = nearest(2)
+    state.traffic[i].y = track.lane_center(3)
+    after = check()
+    assert after["front_center"] > before["front_center"]
+
+    # a new car at the same y as the one it replaces: same lanes, new x and speed
+    i = nearest(1)
+    index = state.traffic_by_lane(simu.track)
+    new = CarState(x=state.ego.x + 6.0, y=state.traffic[i].y, speed_kmh=40.0)
+    simu.traffic[i] = TrafficCar(new, 40.0)
+    state.traffic[i] = new
+    assert state.traffic_by_lane(simu.track) is index  # kept: it holds indices, not cars
+    assert check(1)["front_right"] == pytest.approx(6.0 - CAR_LENGTH)
+    check()
+
+    # one car appended right behind the ego, the first car removed
+    tail = CarState(x=state.ego.x - 7.0, y=track.lane_center(2), speed_kmh=120.0)
+    simu.traffic.append(TrafficCar(tail, 120.0))
+    state.traffic.append(tail)
+    del simu.traffic[0], state.traffic[0]
+    assert check(1)["back_center"] == pytest.approx(7.0 - CAR_LENGTH)
+    assert tail.speed_kmh == 80.0  # it follows the ego
+    check()
+
+    # wider lanes regroup the cars; then one lane fewer, which moves a car on
+    # the new top edge from lane 5 down to lane 4
+    simu.track = Track(lane_width=4.2)
+    check()
+    state.traffic[nearest(4)].y = 5 * 4.2
+    check()
+    simu.track = Track(num_lanes=5, lane_width=4.2)
+    check()
