@@ -309,24 +309,33 @@ def criterion_k1_degeneracy(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
+def time_single_vs_mc(
+    model: MdnModel, x: np.ndarray, samples: int, reps: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Mean ms per call of one `report` and of one `mc_dropout_variance` with
+    `samples` passes, each warmed up once and then timed over `reps` calls."""
+    report(model, x)
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        report(model, x)
+    single_ms = (time.perf_counter() - t0) / reps * 1e3
+    mc_dropout_variance(model, x, samples, rng)
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        mc_dropout_variance(model, x, samples, rng)
+    mc_ms = (time.perf_counter() - t0) / reps * 1e3
+    return single_ms, mc_ms
+
+
 def criterion_timing(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     model = build_mdn(
         2, list(NETWORK_TOPOLOGY), 10, 1, dropout_keep_prob=0.8, seed=ctx.seed
     )
-    x = np.zeros(2)
-    rng = np.random.default_rng(ctx.seed)
     reps = 1000
-    report(model, x)
-    t_single = time.perf_counter()
-    for _ in range(reps):
-        report(model, x)
-    single_ms = (time.perf_counter() - t_single) / reps * 1e3
-    mc_dropout_variance(model, x, 50, rng)
-    t_mc = time.perf_counter()
-    for _ in range(reps):
-        mc_dropout_variance(model, x, 50, rng)
-    mc_ms = (time.perf_counter() - t_mc) / reps * 1e3
+    single_ms, mc_ms = time_single_vs_mc(
+        model, np.zeros(2), 50, reps, np.random.default_rng(ctx.seed)
+    )
     speedup = mc_ms / single_ms
     elapsed = time.perf_counter() - t0
     passed = speedup >= 10.0

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-import time
 from datetime import datetime
 from pathlib import Path
 
@@ -42,7 +41,6 @@ from .synthetic import (
     write_quadrant_csv,
 )
 from . import acceptance as acceptance_mod
-from .uncertainty import mc_dropout_variance, report
 
 # every option each subcommand accepts, with its default (None = required)
 COMMAND_KEYS: dict[str, dict[str, object]] = {
@@ -280,19 +278,9 @@ def cmd_bench(cfg: dict[str, object], run_dir: Path) -> None:
     if reps < 1:
         raise ConfigError("bench.repetitions must be positive")
     x = np.zeros(model.net.config.input_dim)
-    rng = np.random.default_rng(0)
-
-    report(model, x)  # warm up caches before timing
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        report(model, x)
-    single_ms = (time.perf_counter() - t0) / reps * 1e3
-
-    mc_dropout_variance(model, x, samples, rng)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        mc_dropout_variance(model, x, samples, rng)
-    mc_ms = (time.perf_counter() - t0) / reps * 1e3
+    single_ms, mc_ms = acceptance_mod.time_single_vs_mc(
+        model, x, samples, reps, np.random.default_rng(0)
+    )
 
     result = {
         "single_pass_ms": single_ms,

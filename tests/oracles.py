@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from mdnuq.mdn import GmmParams
+from mdnuq.mdn import GmmParams, head_transform
 
 
 def finite_difference(loss_fn, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
@@ -48,6 +48,23 @@ def random_gmm(rng: np.random.Generator, max_k: int = 16, max_d: int = 8) -> Gmm
     means = rng.normal(0.0, 3.0, size=(k, d))
     variances = rng.uniform(0.05, 4.5, size=(k, d))
     return GmmParams(w, means, variances)
+
+
+def per_sample_mc_dropout(model, x, num_samples: int, rng: np.random.Generator):
+    """MC dropout moments the per-sample way: each stochastic pass gets its own
+    head transform and argmax. Returns (variance, sample means, sample variances)."""
+    d = model.cfg.output_dim
+    means = np.empty((num_samples, d))
+    variances = np.empty((num_samples, d))
+    for t in range(num_samples):
+        raw = model.net.forward(x, mode="eval", rng=rng, stochastic_eval=True)
+        g = head_transform(raw, model.cfg)
+        j = int(np.argmax(g.weights))
+        means[t] = g.means[j]
+        variances[t] = g.variances[j]
+    mean_of_means = means.mean(axis=0)
+    var_of_means = np.maximum((means * means).mean(axis=0) - mean_of_means**2, 0.0)
+    return var_of_means + variances.mean(axis=0), means, variances
 
 
 def moments_by_enumeration(g: GmmParams):

@@ -13,7 +13,7 @@ from mdnuq.uncertainty import (
     unexplained_variance,
 )
 
-from oracles import moments_by_enumeration, random_gmm, sample_gmm
+from oracles import moments_by_enumeration, per_sample_mc_dropout, random_gmm, sample_gmm
 
 
 def gmm(w, means, variances):
@@ -174,6 +174,64 @@ def test_mc_dropout_variance_is_nonnegative():
     for _ in range(10):
         rep = mc_dropout_variance(model, rng.normal(size=2), 5, rng)
         assert np.all(rep.variance >= 0.0)
+
+
+@pytest.mark.parametrize("keep", [0.7, 0.8, 1.0])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_mc_dropout_matches_per_sample_oracle_bit_for_bit(k, d, keep):
+    model = build_mdn(3, [16, 16], k, d, dropout_keep_prob=keep, seed=100 * k + 10 * d)
+    points = np.random.default_rng(k + d).normal(0.0, 3.0, size=(5, 3))
+    for i, x in enumerate(points):
+        rep = mc_dropout_variance(model, x, 12, np.random.default_rng(i), keep_samples=True)
+        variance, means, variances = per_sample_mc_dropout(model, x, 12, np.random.default_rng(i))
+        assert np.array_equal(rep.variance, variance)
+        assert np.array_equal(rep.sample_means, means)
+        assert np.array_equal(rep.sample_variances, variances)
+
+
+def test_mc_dropout_tied_weights_pick_index_zero_like_the_oracle():
+    # a zeroed head layer gives equal logits, so every sample ties on all K
+    model = build_mdn(2, [8], 4, 2, dropout_keep_prob=0.8, seed=14)
+    head = model.net.layers[-1]
+    head.weights[:] = 0.0
+    head.biases[:] = 0.0
+    x = np.array([0.3, -0.2])
+    rep = mc_dropout_variance(model, x, 6, np.random.default_rng(2), keep_samples=True)
+    variance, means, variances = per_sample_mc_dropout(model, x, 6, np.random.default_rng(2))
+    assert np.array_equal(rep.variance, variance)
+    assert np.array_equal(rep.sample_means, means)
+    assert np.array_equal(rep.sample_variances, variances)
+    assert np.all(rep.sample_means == model.gmm(x).means[0])
+
+
+def test_mc_dropout_runs_one_single_row_forward_per_sample():
+    # the T passes stay sequential: criterion 8 times them against one report
+    model = build_mdn(2, [8], 3, 1, dropout_keep_prob=0.8, seed=15)
+    forward = model.net.forward
+    rows = []
+
+    def counting_forward(x, *args, **kwargs):
+        rows.append(np.atleast_2d(x).shape[0])
+        return forward(x, *args, **kwargs)
+
+    model.net.forward = counting_forward
+    mc_dropout_variance(model, np.zeros(2), 9, np.random.default_rng(0))
+    assert rows == [1] * 9
+
+
+def test_mc_dropout_takes_a_one_row_input_like_a_vector():
+    model = build_mdn(2, [8], 3, 1, dropout_keep_prob=0.8, seed=16)
+    x = np.full(2, 0.4)
+    a = mc_dropout_variance(model, x.reshape(1, 2), 5, np.random.default_rng(1))
+    b = mc_dropout_variance(model, x, 5, np.random.default_rng(1))
+    assert np.array_equal(a.variance, b.variance)
+
+
+def test_mc_dropout_rejects_a_batch_naming_its_shape():
+    model = build_mdn(2, [8], 3, 2, dropout_keep_prob=0.8, seed=17)
+    with pytest.raises(ValueError, match=r"\(3, 2\)"):
+        mc_dropout_variance(model, np.zeros((3, 2)), 4, np.random.default_rng(0))
 
 
 def test_report_from_gmm_map_index():
