@@ -311,20 +311,22 @@ def criterion_k1_degeneracy(ctx: AcceptanceContext) -> CriterionResult:
 
 def time_single_vs_mc(
     model: MdnModel, x: np.ndarray, samples: int, reps: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Mean ms per call of one `report` and of one `mc_dropout_variance` with
-    `samples` passes, each warmed up once and then timed over `reps` calls."""
-    report(model, x)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        report(model, x)
-    single_ms = (time.perf_counter() - t0) / reps * 1e3
-    mc_dropout_variance(model, x, samples, rng)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        mc_dropout_variance(model, x, samples, rng)
-    mc_ms = (time.perf_counter() - t0) / reps * 1e3
-    return single_ms, mc_ms
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-call ms of `reps` calls of one `report` and of one
+    `mc_dropout_variance` with `samples` passes, each warmed up once."""
+
+    def per_call_ms(fn) -> np.ndarray:
+        fn()
+        times = np.empty(reps)
+        for i in range(reps):
+            t0 = time.perf_counter()
+            fn()
+            times[i] = time.perf_counter() - t0
+        return times * 1e3
+
+    single = per_call_ms(lambda: report(model, x))
+    mc = per_call_ms(lambda: mc_dropout_variance(model, x, samples, rng))
+    return single, mc
 
 
 def criterion_timing(ctx: AcceptanceContext) -> CriterionResult:
@@ -333,16 +335,18 @@ def criterion_timing(ctx: AcceptanceContext) -> CriterionResult:
         2, list(NETWORK_TOPOLOGY), 10, 1, dropout_keep_prob=0.8, seed=ctx.seed
     )
     reps = 1000
-    single_ms, mc_ms = time_single_vs_mc(
+    single, mc = time_single_vs_mc(
         model, np.zeros(2), 50, reps, np.random.default_rng(ctx.seed)
     )
+    single_ms, mc_ms = float(single.mean()), float(mc.mean())
     speedup = mc_ms / single_ms
     elapsed = time.perf_counter() - t0
     passed = speedup >= 10.0
     return CriterionResult(
         "8 single-pass uncertainty vs MC dropout timing",
         passed,
-        f"single pass {single_ms:.3f} ms, MC dropout (T=50) {mc_ms:.2f} ms, "
+        f"single pass {single_ms:.3f} ms (median {np.median(single):.3f}), "
+        f"MC dropout (T=50) {mc_ms:.2f} ms (median {np.median(mc):.2f}), "
         f"speedup {speedup:.1f}x (limit 10x) over {reps} calls",
         elapsed,
     )

@@ -4,6 +4,12 @@ Plain numpy, float64 throughout. Hidden layers use tanh; the output layer
 is linear so it can carry an arbitrary head (mixture parameters, regression
 targets). Dropout, when enabled, is applied after each hidden activation
 with inverted scaling (activations divided by the keep probability).
+
+Each layer computes `h @ W.T`, then adds the bias and applies tanh in place,
+so neither makes a temporary. A deterministic eval batch of many rows runs
+through the layers in row blocks (`_ROW_BLOCK`), writing into one output
+array: its memory scales with the block, not with the batch, and its output
+is bit-identical to a whole-batch pass.
 """
 
 from __future__ import annotations
@@ -11,6 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# Rows per block of a large deterministic eval forward; blocks hold 256-511
+# rows. GEMM rows match a whole-batch call bit for bit only above a small M
+# (OpenBLAS 0.3.31: rows differ at M <= 50 for the 256->50 head), and a
+# block's 0.5-1 MB activations can stay in the heap, where the 3.2 MB ones of
+# a 1600-row batch go back to the OS and are faulted in again on every call.
+_ROW_BLOCK = 256
 
 
 class ConfigError(ValueError):
@@ -64,9 +78,6 @@ class DenseLayer:
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ConfigError("layer weights must be (out, in) with matching bias")
 
-    def linear(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weights.T + self.biases
-
 
 @dataclass
 class _LayerCache:
@@ -101,16 +112,25 @@ class MlpNetwork:
         rng: np.random.Generator | None = None,
         stochastic_eval: bool = False,
     ) -> np.ndarray:
-        """Run the network on a single input vector or a batch of rows.
+        """Run the network on a single input vector (in,) or a batch of rows (n, in).
 
         `mode="train"` caches activations for `backward` and applies dropout
         when the keep probability is below one. In eval mode nothing is
         cached; `stochastic_eval=True` still applies dropout masks, which is
         what the Monte Carlo dropout estimator needs.
+
+        A deterministic eval batch of at least `2 * _ROW_BLOCK` rows runs
+        through the layers in row blocks of 256-511 rows, so its temporaries
+        scale with the block and not with n; the output equals one
+        whole-batch pass bit for bit. Train mode and stochastic eval run the
+        whole batch at once: `backward` needs whole-batch caches, and the
+        dropout masks keep their draw order.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         arr = np.asarray(x, dtype=np.float64)
+        if arr.ndim > 2:
+            raise ConfigError(f"input must be (in,) or (n, in); got shape {arr.shape}")
         single = arr.ndim == 1
         h = np.atleast_2d(arr)
         if h.shape[1] != self.config.input_dim:
@@ -124,26 +144,45 @@ class MlpNetwork:
             raise ValueError("dropout requires an rng")
 
         cache: list[_LayerCache] | None = [] if train else None
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            pre = layer.linear(h)
-            if i == last:
-                if cache is not None:
-                    cache.append(_LayerCache(h, None, None))
-                h = pre
-                continue
-            act = np.tanh(pre)
+        n = h.shape[0]
+        if cache is None and not use_dropout and n >= 2 * _ROW_BLOCK:
+            out = np.empty((n, self.config.output_dim))
+            blocks = n // _ROW_BLOCK
+            edges = [n * j // blocks for j in range(blocks + 1)]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                out[lo:hi] = self._layers(h[lo:hi], None, None)
+        else:
+            out = self._layers(h, cache, rng if use_dropout else None)
+        self._cache = cache
+        return out[0] if single else out
+
+    def _layers(
+        self,
+        h: np.ndarray,
+        cache: list[_LayerCache] | None,
+        dropout_rng: np.random.Generator | None,
+    ) -> np.ndarray:
+        """One pass through every layer, appending to `cache` when it is a list
+        and masking hidden activations when `dropout_rng` is given."""
+        keep = self.config.dropout_keep_prob
+        for layer in self.layers[:-1]:
+            act = h @ layer.weights.T
+            act += layer.biases
+            np.tanh(act, out=act)
             mask = None
-            if use_dropout:
-                mask = (rng.random(act.shape) < keep) / keep
+            out = act
+            if dropout_rng is not None:
+                mask = (dropout_rng.random(act.shape) < keep) / keep
                 out = act * mask
-            else:
-                out = act
             if cache is not None:
                 cache.append(_LayerCache(h, act, mask))
             h = out
-        self._cache = cache
-        return h[0] if single else h
+        head = self.layers[-1]
+        out = h @ head.weights.T
+        out += head.biases
+        if cache is not None:
+            cache.append(_LayerCache(h, None, None))
+        return out
 
     def backward(self, grad_output: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Backpropagate d(loss)/d(output) to per-layer (dW, db) gradients.

@@ -111,13 +111,14 @@ def report_from_gmm(g: Mixture) -> UncertaintyReport:
 def report(model: MdnModel, x: np.ndarray) -> UncertaintyReport:
     """Full decomposition from one deterministic forward pass; no sampling.
 
-    `x` is one input (in,) or a batch (n, in). Both run as a batch, through
-    one forward pass and one head transform; a single input is a batch of
-    one whose mixture is squeezed back to (K, d) before the moments, so its
-    report has (d,) arrays and an int `map_index`.
+    `x` is one input (in,) or a batch (n, in); any other rank is refused by
+    the forward pass. Both run as a batch, through one forward pass and one
+    head transform; a single input is a batch of one whose mixture is
+    squeezed back to (K, d) before the moments, so its report has (d,)
+    arrays and an int `map_index`.
     """
     x = np.asarray(x, dtype=np.float64)
-    return report_from_gmm(model.gmm_batch(x) if x.ndim == 2 else model.gmm(x))
+    return report_from_gmm(model.gmm(x) if x.ndim < 2 else model.gmm_batch(x))
 
 
 @dataclass

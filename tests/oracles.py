@@ -33,6 +33,44 @@ def finite_difference(loss_fn, arrays: list[np.ndarray], h: float = 1e-5) -> lis
     return grads
 
 
+def unblocked_forward(net, x, rng=None, stochastic=False):
+    """The network's layer loop on the whole batch at once: `x @ W.T + b`, then
+    tanh and, in train mode or stochastic eval (`stochastic=True`), a dropout
+    mask drawn from `rng` per hidden layer. Returns the output and, per layer,
+    (inputs, activation, mask) for `unblocked_backward`."""
+    keep = net.config.dropout_keep_prob
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    cache = []
+    for i, layer in enumerate(net.layers):
+        pre = h @ layer.weights.T + layer.biases
+        if i == len(net.layers) - 1:
+            cache.append((h, None, None))
+            return pre, cache
+        act = np.tanh(pre)
+        mask = (rng.random(act.shape) < keep) / keep if stochastic and keep < 1.0 else None
+        cache.append((h, act, mask))
+        h = act if mask is None else act * mask
+
+
+def unblocked_backward(net, cache, grad_output):
+    """Per-layer (dW, db) from `unblocked_forward`'s cache, by the chain rule."""
+    g = np.atleast_2d(grad_output)
+    grads = [None] * len(net.layers)
+    for i in reversed(range(len(net.layers))):
+        inputs, act, mask = cache[i]
+        if act is not None:
+            if mask is not None:
+                g = g * mask
+            g = g * (1.0 - act**2)
+        dw = g.T @ inputs
+        if net.config.weight_decay:
+            dw += net.config.weight_decay * net.layers[i].weights
+        grads[i] = (dw, g.sum(axis=0))
+        if i > 0:
+            g = g @ net.layers[i].weights
+    return grads
+
+
 def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points from a diagonal Gaussian mixture."""
     idx = rng.choice(g.num_mixtures, size=n, p=g.weights / g.weights.sum())

@@ -13,7 +13,7 @@ from mdnuq.nn import (
     train_network,
 )
 
-from oracles import finite_difference
+from oracles import finite_difference, unblocked_backward, unblocked_forward
 
 
 def small_net(seed=0, wd=0.0, keep=1.0):
@@ -200,6 +200,69 @@ def test_dimension_mismatch_rejected():
     net = small_net()
     with pytest.raises(ConfigError):
         net.forward(np.zeros(5))
+
+
+def test_three_dimensional_input_rejected_with_its_shape():
+    net = init_mlp(MlpConfig(2, [4], 3, seed=0))
+    with pytest.raises(ConfigError, match=r"\(3, 2, 2\)"):
+        net.forward(np.zeros((3, 2, 2)))
+
+
+# --- row blocks: large eval batches against the whole-batch layer loop -------
+
+DRIVING_SHAPE = (7, 50)
+SCENARIO_SHAPE = (2, 30)
+
+
+def wide_net(shape, **kwargs):
+    """The 256-256 topology of the scenario and driving models, for (in, out)."""
+    return init_mlp(MlpConfig(shape[0], [256, 256], shape[1], **kwargs))
+
+
+@pytest.mark.parametrize("shape", [DRIVING_SHAPE, SCENARIO_SHAPE])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1600, 4097])
+def test_eval_forward_equals_unblocked_loop(shape, n):
+    net = wide_net(shape, seed=n)
+    x = np.random.default_rng(n).uniform(-3.0, 3.0, size=(n, shape[0]))
+    expected, _ = unblocked_forward(net, x)
+    assert np.array_equal(net.forward(x), expected)
+
+
+def test_stochastic_eval_keeps_the_dropout_draw_order():
+    net = wide_net(SCENARIO_SHAPE, dropout_keep_prob=0.8, seed=1)
+    x = np.random.default_rng(2).normal(size=(1024, 2))
+    got = net.forward(x, rng=np.random.default_rng(3), stochastic_eval=True)
+    expected, _ = unblocked_forward(net, x, np.random.default_rng(3), stochastic=True)
+    assert np.array_equal(got, expected)
+
+
+def test_train_forward_and_backward_equal_unblocked_loop():
+    net = wide_net(DRIVING_SHAPE, dropout_keep_prob=0.8, weight_decay=1e-3, seed=4)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(1024, 7))
+    grad_out = rng.normal(size=(1024, 50)) / 1024
+    out = net.forward(x, mode="train", rng=np.random.default_rng(6))
+    expected, cache = unblocked_forward(net, x, np.random.default_rng(6), stochastic=True)
+    assert np.array_equal(out, expected)
+    for (dw, db), (rw, rb) in zip(net.backward(grad_out),
+                                  unblocked_backward(net, cache, grad_out)):
+        assert np.array_equal(dw, rw)
+        assert np.array_equal(db, rb)
+
+
+def test_large_eval_forward_memory_scales_with_the_block():
+    import tracemalloc
+
+    net = wide_net(DRIVING_SHAPE, seed=7)
+    x = np.random.default_rng(8).normal(size=(20_000, 7))
+    tracemalloc.start()
+    try:
+        out = net.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole-batch pass would hold two (20000, 256) activations, ~82 MB
+    assert peak < out.nbytes + 4 * 2**20
 
 
 def test_plain_network_file_round_trip_is_bit_exact(tmp_path):

@@ -121,9 +121,11 @@ def test_grid_runs_one_forward_pass(monkeypatch):
         return original(self, x, mode, **kwargs)
 
     monkeypatch.setattr(MlpNetwork, "forward", counting)
-    grid = evaluate_grid(model, 12)
-    assert modes == ["eval"]
-    assert grid.explained.shape == (144, 1)
+    for resolution in (12, 40):  # 1600 cells run in row blocks, still one call
+        modes.clear()
+        grid = evaluate_grid(model, resolution)
+        assert modes == ["eval"]
+        assert grid.explained.shape == (resolution**2, 1)
 
 
 def test_grid_map_mean_is_the_heaviest_mixture_mean():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdnuq.mdn import GmmBatch, GmmParams, build_mdn
+from mdnuq.nn import ConfigError
 from mdnuq.uncertainty import (
     explained_variance,
     mc_dropout_variance,
@@ -257,6 +258,12 @@ def test_batch_report_agrees_row_by_row_with_single_reports():
             single, row = getattr(one, name), getattr(batch, name)[i]
             assert single.shape == (2,)
             assert np.all(np.abs(row - single) <= 1e-12 * np.abs(single)), name
+
+
+def test_three_dimensional_batch_reaches_the_forward_check():
+    model = build_mdn(2, [8], 3, 1, seed=1)
+    with pytest.raises(ConfigError, match=r"\(4, 2, 2\)"):
+        report(model, np.zeros((4, 2, 2)))
 
 
 def test_batch_of_one_keeps_batch_shapes():
