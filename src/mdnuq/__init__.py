@@ -22,10 +22,8 @@ from .mdn import (
     TrainSchedule,
     TrainingSet,
     build_mdn,
-    head_transform,
     load_mdn,
     nll_loss,
-    predict_map,
     train_mdn,
     transform_batch,
 )

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdn import MdnModel, TrainSchedule, build_mdn, train_mdn
+from .mdn import TrainSchedule, build_mdn, load_mdn, train_mdn
 from .modelio import load_model, save_model
-from .nn import ConfigError, MlpConfig, Optimizer, init_mlp, mse_loss, train_network
+from .nn import ConfigError, MlpConfig, MlpNetwork, Optimizer, init_mlp, mse_loss, train_network
 from .policy import (
     ModelBundle,
     PolicyKind,
@@ -79,9 +79,7 @@ COMMAND_KEYS: dict[str, dict[str, object]] = {
         "bench.samples": 50,
         "bench.repetitions": 1000,
     },
-    "suite": {
-        "suite.jobs": 1,
-    },
+    "suite": {},
 }
 
 
@@ -223,15 +221,15 @@ def cmd_train(cfg: dict[str, object], run_dir: Path) -> None:
         print(f"loss: {trace[0]:.6f} -> {trace[-1]:.6f} over {len(trace)} epochs")
 
 
-def _load_mdn_file(path: str) -> MdnModel:
+def _load_regnet(path: str) -> MlpNetwork:
     net, mdn_cfg = load_model(path)
-    if mdn_cfg is None:
-        raise ConfigError(f"{path}: expected a mixture model file")
-    return MdnModel(net, mdn_cfg)
+    if mdn_cfg is not None:
+        raise ConfigError(f"{path}: file holds a mixture model, not a regression network")
+    return net
 
 
 def cmd_grid(cfg: dict[str, object], run_dir: Path) -> None:
-    model = _load_mdn_file(str(cfg["grid.model"]))
+    model = load_mdn(str(cfg["grid.model"]))
     grid = evaluate_grid(model, int(cfg["grid.resolution"]))
     write_grid_csv(grid, run_dir / "grid.csv")
     write_quadrant_csv(quadrant_stats(grid), run_dir / "quadrants.csv")
@@ -242,9 +240,9 @@ def cmd_drive(cfg: dict[str, object], run_dir: Path, jobs: int = 1) -> None:
     policies = [PolicyKind(p.strip()) for p in str(cfg["drive.policies"]).split(",") if p.strip()]
     densities = [float(v) for v in str(cfg["drive.densities"]).split(",") if v.strip()]
     bundle = ModelBundle(
-        mdn_k10=_load_mdn_file(str(cfg["drive.mdn_k10"])) if cfg["drive.mdn_k10"] else None,
-        mdn_k1=_load_mdn_file(str(cfg["drive.mdn_k1"])) if cfg["drive.mdn_k1"] else None,
-        regnet=load_model(str(cfg["drive.regnet"]))[0] if cfg["drive.regnet"] else None,
+        mdn_k10=load_mdn(str(cfg["drive.mdn_k10"])) if cfg["drive.mdn_k10"] else None,
+        mdn_k1=load_mdn(str(cfg["drive.mdn_k1"])) if cfg["drive.mdn_k1"] else None,
+        regnet=_load_regnet(str(cfg["drive.regnet"])) if cfg["drive.regnet"] else None,
     )
     seeds = int(cfg["drive.seeds"])
     seed_base = int(cfg["drive.seed_base"])
@@ -270,7 +268,7 @@ def cmd_drive(cfg: dict[str, object], run_dir: Path, jobs: int = 1) -> None:
 
 
 def cmd_bench(cfg: dict[str, object], run_dir: Path) -> None:
-    model = _load_mdn_file(str(cfg["bench.model"]))
+    model = load_mdn(str(cfg["bench.model"]))
     samples = int(cfg["bench.samples"])
     reps = int(cfg["bench.repetitions"])
     if samples < 2:

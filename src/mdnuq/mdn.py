@@ -241,7 +241,6 @@ class TrainSchedule:
     epochs: int = 2000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     max_grad_norm: float | None = None
 
 
@@ -256,9 +255,7 @@ def train_mdn(
         return nll_loss(transform_batch(raw, model.cfg), y, model.cfg)
 
     opt = Optimizer(
-        kind=schedule.optimizer,
-        learning_rate=schedule.learning_rate,
-        max_grad_norm=schedule.max_grad_norm,
+        learning_rate=schedule.learning_rate, max_grad_norm=schedule.max_grad_norm
     )
     return train_network(
         model.net,

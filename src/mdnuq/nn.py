@@ -226,28 +226,28 @@ def init_mlp(config: MlpConfig) -> MlpNetwork:
     return MlpNetwork(config, layers)
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class Optimizer:
-    """First-order parameter update: plain SGD or Adam with bias correction.
+    """Adam with bias correction.
 
     `max_grad_norm`, when set, rescales each step's gradients to that global
     norm; mixture likelihoods can produce near-cliff gradients when a target
     dimension carries almost no conditional variance.
     """
 
-    kind: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_grad_norm: float | None = None
     step_count: int = 0
     _m: list[np.ndarray] = field(default_factory=list, repr=False)
     _v: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.kind!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
 
@@ -261,24 +261,20 @@ class Optimizer:
             if total > self.max_grad_norm:
                 scale = self.max_grad_norm / total
                 flat = [g * scale for g in flat]
-        if self.kind == "adam" and not self._m:
+        if not self._m:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self.step_count += 1
         lr = self.learning_rate
-        if self.kind == "sgd":
-            for p, g in zip(params, flat):
-                p -= lr * g
-            return
         t = self.step_count
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        c1 = 1.0 - ADAM_BETA1**t
+        c2 = 1.0 - ADAM_BETA2**t
         for p, g, m, v in zip(params, flat, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def mse_loss(raw: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

@@ -3,9 +3,10 @@ uncertainty-gated switching wrapper, and episode evaluation.
 
 Learned policies map the normalized 7-feature vector to a trig-encoded
 desired heading (cos, sin) relative to the lane direction. The switching
-wrapper falls back to the rule-based lane keeper whenever the log of the
-selected uncertainty channel crosses a threshold or the frontal gap gets
-critically small; plain learned policies keep only the distance rule.
+wrapper falls back to the rule-based lane keeper whenever the log of its
+uncertainty channel (explained for `ualfd`, unexplained for `ualfd2`)
+crosses that channel's threshold or the frontal gap gets critically small;
+plain learned policies keep only the distance rule.
 """
 
 from __future__ import annotations
@@ -73,11 +74,13 @@ class HeadingTarget:
 
 @dataclass
 class SwitchConfig:
-    # Both thresholds are calibrated to their channel's distribution over the
-    # demonstration inputs of the acceptance pipeline's K=10 driving model
-    # (31,031 inputs). That mixture puts demo noise into the component
-    # variances, not into mean spread: median log unexplained is -5.88,
-    # median log explained -8.94.
+    # `ualfd` gates on the explained channel and `ualfd2` on the unexplained
+    # one; the policy kind picks the channel, and each reads its own
+    # threshold. Both thresholds are calibrated to their channel's
+    # distribution over the demonstration inputs of the acceptance pipeline's
+    # K=10 driving model (31,031 inputs). That mixture puts demo noise into
+    # the component variances, not into mean spread: median log unexplained
+    # is -5.88, median log explained -8.94.
     # Explained: under the (cos, sin) heading encoding two equal-weight unit
     # modes at +-theta give explained = sin^2(theta), so log explained > -2
     # would need theta > 21.6 deg, near the demonstrator's 25 deg steering cap
@@ -87,13 +90,6 @@ class SwitchConfig:
     log_unexplained_threshold: float = -4.25
     immediate_switch_distance_ualfd: float = 1.5
     immediate_switch_distance_others: float = 2.5
-    uncertainty_channel: str = "explained"
-
-    @property
-    def log_threshold(self) -> float:
-        if self.uncertainty_channel == "explained":
-            return self.log_explained_threshold
-        return self.log_unexplained_threshold
 
 
 def decide_mode(
@@ -113,6 +109,9 @@ EXPERT_SWITCH_MARGIN = 10.0
 EXPERT_REAR_SAFE_GAP = 14.0
 EXPERT_STEER_GAIN = 10.0  # deg of desired heading per meter of lateral error
 EXPERT_STEER_CAP = 25.0
+EDGE_BODY_M = 1.2  # lateral room the car body keeps from a track edge
+EPISODE_TIMEOUT_S = 60.0
+LANE_CHANGE_PERSIST_TICKS = 10
 
 
 def _side_viable(features: FeatureVector, rel: int, current_lane: int, track: Track, margin: float) -> bool:
@@ -156,14 +155,12 @@ def _recovery_cost_m(heading_deg: float) -> float:
     return v * (1.0 - math.cos(math.radians(abs(heading_deg)))) / w
 
 
-def edge_guarded_angle(
-    angle_deg: float, y: float, heading_deg: float, track: Track, body_m: float = 1.2
-) -> float:
+def edge_guarded_angle(angle_deg: float, y: float, heading_deg: float, track: Track) -> float:
     """Clamp a desired heading so the tracker can always recover before the
     track edge, accounting for the lateral cost of unwinding the heading the
     car already carries."""
-    margin_left = track.width - y - body_m
-    margin_right = y - body_m
+    margin_left = track.width - y - EDGE_BODY_M
+    margin_right = y - EDGE_BODY_M
     if heading_deg > 0:
         margin_left -= _recovery_cost_m(heading_deg)
     else:
@@ -236,10 +233,7 @@ def _demo_target_lane(
 
 
 def _run_demo_episode(
-    track: Track,
-    rnd: DemoRandomization,
-    rng: np.random.Generator,
-    timeout_s: float,
+    track: Track, rnd: DemoRandomization, rng: np.random.Generator
 ) -> tuple[list[np.ndarray], list[np.ndarray], bool]:
     """One randomized expert episode; returns (inputs, targets, collided)."""
     traffic_seed = int(rng.integers(2**31))
@@ -248,7 +242,7 @@ def _run_demo_episode(
     episode_x: list[np.ndarray] = []
     episode_y: list[np.ndarray] = []
     sim = _build_scene(track, traffic_seed, density, ego_lane)
-    max_ticks = int(round(timeout_s / sim.state.dt))
+    max_ticks = int(round(EPISODE_TIMEOUT_S / sim.state.dt))
     for _tick in range(max_ticks):
         if detect_collision(sim.state, track):
             return episode_x, episode_y, True
@@ -286,12 +280,7 @@ def _run_demo_episode(
 
 
 def collect_demonstrations(
-    num_episodes: int,
-    randomization: DemoRandomization | None = None,
-    seed: int = 0,
-    *,
-    track: Track | None = None,
-    timeout_s: float = 60.0,
+    num_episodes: int, randomization: DemoRandomization | None = None, seed: int = 0
 ) -> TrainingSet:
     """Run the scripted expert in randomized scenes and record (features -> heading).
 
@@ -300,13 +289,13 @@ def collect_demonstrations(
     critical-distance fallback are executed but not recorded.
     """
     rnd = randomization or DemoRandomization()
-    track = track or Track()
+    track = Track()
     rng = np.random.default_rng(seed)
     inputs: list[np.ndarray] = []
     targets: list[np.ndarray] = []
     kept = 0
     for _ in range(num_episodes):
-        episode_x, episode_y, collided = _run_demo_episode(track, rnd, rng, timeout_s)
+        episode_x, episode_y, collided = _run_demo_episode(track, rnd, rng)
         if not collided and episode_x:
             inputs.extend(episode_x)
             targets.extend(episode_y)
@@ -317,20 +306,13 @@ def collect_demonstrations(
 
 
 def count_expert_collisions(
-    num_episodes: int,
-    randomization: DemoRandomization | None = None,
-    seed: int = 0,
-    *,
-    track: Track | None = None,
-    timeout_s: float = 60.0,
+    num_episodes: int, randomization: DemoRandomization | None = None, seed: int = 0
 ) -> int:
     """Number of randomized expert episodes that would be discarded."""
     rnd = randomization or DemoRandomization()
-    track = track or Track()
+    track = Track()
     rng = np.random.default_rng(seed)
-    return sum(
-        _run_demo_episode(track, rnd, rng, timeout_s)[2] for _ in range(num_episodes)
-    )
+    return sum(_run_demo_episode(track, rnd, rng)[2] for _ in range(num_episodes))
 
 
 def learned_policy(
@@ -405,8 +387,9 @@ REPLAY_COLUMNS = [
 ]
 
 
-def count_lane_changes(lanes: list[int], persist_ticks: int = 10) -> int:
-    """Changes of the nearest-lane index that persist for at least `persist_ticks`."""
+def count_lane_changes(lanes: list[int]) -> int:
+    """Changes of the nearest-lane index that persist for at least
+    `LANE_CHANGE_PERSIST_TICKS` ticks."""
     if not lanes:
         return 0
     stable = lanes[0]
@@ -418,7 +401,7 @@ def count_lane_changes(lanes: list[int], persist_ticks: int = 10) -> int:
             run_len += 1
         else:
             run_val, run_len = v, 1
-        if run_val != stable and run_len >= persist_ticks:
+        if run_val != stable and run_len >= LANE_CHANGE_PERSIST_TICKS:
             stable = run_val
             count += 1
     return count
@@ -442,28 +425,34 @@ def run_episode(
     scene_seed: int,
     models: ModelBundle,
     *,
-    track: Track | None = None,
     switch: SwitchConfig | None = None,
     density: float = 1.0,
-    timeout_s: float = 60.0,
-    ego_lane: int = 2,
+    timeout_s: float = EPISODE_TIMEOUT_S,
 ) -> tuple[EpisodeMetrics, list[list]]:
-    """Simulate one seeded episode; returns metrics and per-tick replay rows."""
-    track = track or Track()
-    switch = switch or SwitchConfig(
-        uncertainty_channel="unexplained" if kind is PolicyKind.UALFD2 else "explained"
-    )
+    """Simulate one seeded episode from lane 2 of the default track; returns
+    metrics and per-tick replay rows.
+
+    `ualfd` gates on the explained channel and `ualfd2` on the unexplained
+    one, each against its own threshold in `switch`; the replay's
+    `uncertainty` column holds that channel's sum (NaN for other policies).
+    """
+    track = Track()
+    switch = switch or SwitchConfig()
     model = models.for_kind(kind)
     gated = kind in (PolicyKind.UALFD, PolicyKind.UALFD2)
     if gated and not isinstance(model, MdnModel):
         raise ConfigError("uncertainty-gated policies require a mixture model")
+    explained = kind is PolicyKind.UALFD
+    log_threshold = (
+        switch.log_explained_threshold if explained else switch.log_unexplained_threshold
+    )
     switch_distance = (
         switch.immediate_switch_distance_ualfd
         if gated
         else switch.immediate_switch_distance_others
     )
 
-    sim = _build_scene(track, scene_seed, density, ego_lane)
+    sim = _build_scene(track, scene_seed, density, 2)
     max_ticks = int(round(timeout_s / sim.state.dt))
     collision = False
     reached = False
@@ -494,16 +483,12 @@ def run_episode(
         else:
             if gated:
                 scored = uncertainty.report(model, features.normalized(track))
-                u_tick = (
-                    scored.explained_sum
-                    if switch.uncertainty_channel == "explained"
-                    else scored.unexplained_sum
-                )
+                u_tick = scored.explained_sum if explained else scored.unexplained_sum
             mode = decide_mode(
                 u_tick if gated else None,
                 features.front_center,
                 switch_distance,
-                switch.log_threshold,
+                log_threshold,
             )
 
         if mode == "safe":
@@ -580,21 +565,14 @@ class SuiteRow:
 _WORKER_CONTEXT: dict = {}
 
 
-def _worker_init(
-    models: ModelBundle, track: Track | None, switch: SwitchConfig | None, keep_replays: bool
-) -> None:
-    _WORKER_CONTEXT.update(models=models, track=track, switch=switch, keep_replays=keep_replays)
+def _worker_init(models: ModelBundle, keep_replays: bool) -> None:
+    _WORKER_CONTEXT.update(models=models, keep_replays=keep_replays)
 
 
 def _worker_episode(task: tuple[str, float, int]) -> tuple[EpisodeMetrics, list[list]]:
     kind_value, density, seed = task
     metrics, replay = run_episode(
-        PolicyKind(kind_value),
-        seed,
-        _WORKER_CONTEXT["models"],
-        track=_WORKER_CONTEXT["track"],
-        switch=_WORKER_CONTEXT["switch"],
-        density=density,
+        PolicyKind(kind_value), seed, _WORKER_CONTEXT["models"], density=density
     )
     return metrics, (replay if _WORKER_CONTEXT["keep_replays"] else [])
 
@@ -605,13 +583,14 @@ def evaluate_suite(
     density_levels: list[float],
     models: ModelBundle,
     *,
-    track: Track | None = None,
-    switch: SwitchConfig | None = None,
     seed_base: int = 0,
     jobs: int = 1,
     keep_replays: bool = False,
 ) -> list[SuiteRow]:
     """Per-policy, per-density means of episode metrics over seeded episodes.
+
+    Each episode is `run_episode` with the default `SwitchConfig` and
+    timeout, so each gated policy reads its own channel.
 
     With `jobs` > 1 episodes run in a process pool; results are merged in
     task order, so the output is identical to a serial run. `keep_replays`
@@ -631,11 +610,11 @@ def evaluate_suite(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_worker_init,
-            initargs=(models, track, switch, keep_replays),
+            initargs=(models, keep_replays),
         ) as pool:
             results = list(pool.map(_worker_episode, tasks, chunksize=4))
     else:
-        _worker_init(models, track, switch, keep_replays)
+        _worker_init(models, keep_replays)
         results = [_worker_episode(t) for t in tasks]
 
     rows = []
@@ -759,9 +738,7 @@ def train_policy_models(
         mse_loss,
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
-        optimizer=Optimizer(
-            kind="adam", learning_rate=cfg.learning_rate, max_grad_norm=cfg.max_grad_norm
-        ),
+        optimizer=Optimizer(learning_rate=cfg.learning_rate, max_grad_norm=cfg.max_grad_norm),
         seed=seed + 2,
     )
     return ModelBundle(mdn_k10=mdn_k10, mdn_k1=mdn_k1, regnet=regnet)

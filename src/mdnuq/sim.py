@@ -146,10 +146,10 @@ class FeatureVector:
             ]
         )
 
-    def normalized(self, track: Track, d_max: float = D_MAX) -> np.ndarray:
-        """Network input scaling: gaps by d_max, offset by the half lane width."""
+    def normalized(self, track: Track) -> np.ndarray:
+        """Network input scaling: gaps by D_MAX, offset by the half lane width."""
         arr = self.as_array()
-        arr[:6] /= d_max
+        arr[:6] /= D_MAX
         arr[6] /= 0.5 * track.lane_width
         return arr
 
@@ -162,7 +162,7 @@ def wrap_angle_deg(angle: float) -> float:
     return a - 180.0
 
 
-def extract_features(state: SimState, track: Track, d_max: float = D_MAX) -> FeatureVector:
+def extract_features(state: SimState, track: Track) -> FeatureVector:
     ego = state.ego
     lane = track.lane_index(ego.y)
     by_lane = state.traffic_by_lane(track)
@@ -171,7 +171,7 @@ def extract_features(state: SimState, track: Track, d_max: float = D_MAX) -> Fea
     gaps = {}
     for label, rel in (("left", 1), ("center", 0), ("right", -1)):
         target = lane + rel
-        front = rear = d_max
+        front = rear = D_MAX
         if 0 <= target < track.num_lanes:
             # `if 0.0 > g: g = 0.0` and `if g < best: best = g` are the
             # builtins' max(g, 0.0) and min(best, g), NaN and -0.0 included
@@ -190,7 +190,7 @@ def extract_features(state: SimState, track: Track, d_max: float = D_MAX) -> Fea
                         gap = 0.0
                     if gap < rear:
                         rear = gap
-        gaps[label] = (min(front, d_max), min(rear, d_max))
+        gaps[label] = (min(front, D_MAX), min(rear, D_MAX))
     return FeatureVector(
         front_left=gaps["left"][0],
         front_center=gaps["center"][0],
@@ -255,9 +255,6 @@ def safe_controller(
     speeds: NeighborSpeeds,
     theta_dev_deg: float,
     d_dev_m: float,
-    *,
-    cruise_speed_mps: float = CRUISE_SPEED_KMH * KMH_TO_MPS,
-    w_max: float = W_MAX_DEGPS,
 ) -> tuple[float, float]:
     """Rule-based lane keeper; returns (speed m/s, angular velocity deg/s).
 
@@ -267,8 +264,9 @@ def safe_controller(
     damping plus lane-center correction in the left-positive convention,
     gains (5, 50) with the heading deviation in degrees.
     """
-    v_front = speeds.front if speeds.front is not None else cruise_speed_mps
-    v_rear = speeds.rear if speeds.rear is not None else cruise_speed_mps
+    cruise_mps = CRUISE_SPEED_KMH * KMH_TO_MPS
+    v_front = speeds.front if speeds.front is not None else cruise_mps
+    v_rear = speeds.rear if speeds.rear is not None else cruise_mps
     if features.front_center < 3.0:
         v = v_front - 5.0
     elif features.back_center < 3.0:
@@ -276,7 +274,7 @@ def safe_controller(
     else:
         v = 0.5 * (v_front + v_rear)
     w = -5.0 * theta_dev_deg - 50.0 * d_dev_m
-    return max(v, 0.0), max(-w_max, min(w_max, w))
+    return max(v, 0.0), max(-W_MAX_DEGPS, min(W_MAX_DEGPS, w))
 
 
 def box_corners(car: CarState) -> np.ndarray:
@@ -421,10 +419,10 @@ class Simulation:
     replaces a car does so in both lists.
     """
 
-    def __init__(self, track: Track, ego: CarState, traffic: list[TrafficCar], dt: float = 0.1):
+    def __init__(self, track: Track, ego: CarState, traffic: list[TrafficCar]):
         self.track = track
         self.traffic = traffic
-        self.state = SimState(ego=ego, traffic=[tc.car for tc in traffic], dt=dt)
+        self.state = SimState(ego=ego, traffic=[tc.car for tc in traffic])
         self.follow_gap_m = 10.0
 
     def _advance_traffic(self) -> None:

@@ -56,8 +56,8 @@ def total_variance(g: Mixture) -> np.ndarray:
 @dataclass
 class UncertaintyReport:
     """Moments of one mixture ((d,) arrays, int `map_index`) or of a batch
-    ((n, d) arrays, (n,) `map_index`); the scalar properties and `to_record`
-    apply to a single input."""
+    ((n, d) arrays, (n,) `map_index`); the scalar properties apply to a
+    single input."""
 
     total_mean: np.ndarray
     total_variance: np.ndarray
@@ -74,18 +74,6 @@ class UncertaintyReport:
     @property
     def unexplained_sum(self) -> float:
         return float(self.unexplained.sum())
-
-    def to_record(self) -> dict:
-        rec: dict = {}
-        for name, arr in (
-            ("total", self.total_variance),
-            ("explained", self.explained),
-            ("unexplained", self.unexplained),
-        ):
-            for i, v in enumerate(arr):
-                rec[f"{name}_{i}"] = float(v)
-        rec["map_index"] = self.map_index
-        return rec
 
 
 def report_from_gmm(g: Mixture) -> UncertaintyReport:

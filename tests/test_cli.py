@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mdnuq import policy
-from mdnuq.cli import main, read_config_file, resolve_config
+from mdnuq import cli
+from mdnuq.cli import COMMAND_KEYS, main, read_config_file, resolve_config
 from mdnuq.mdn import MdnConfig, build_mdn
 from mdnuq.modelio import load_model
 from mdnuq.nn import ConfigError
@@ -194,6 +195,21 @@ def test_drive_simulates_each_episode_once(tmp_path, monkeypatch, jobs):
         assert written.read_bytes() == direct.read_bytes()
 
 
+def test_drive_rejects_mixture_file_as_regnet(tmp_path, capsys):
+    # a mixture model's first two raw outputs are mixture logits, not (cos, sin)
+    path = tmp_path / "k10.bin"
+    build_mdn(7, [8], 10, 2, seed=0).save(path)
+    code = run_cli(
+        "--out-dir", str(tmp_path / "runs"), "drive",
+        "--set", "drive.policies=regnet",
+        "--set", f"drive.regnet={path}",
+        "--set", "drive.seeds=1",
+        "--set", "drive.replays=0",
+    )
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_bench_rejects_single_sample(tmp_path):
     model = build_mdn(2, [8], 2, 1, dropout_keep_prob=0.8, seed=0)
     path = tmp_path / "m.bin"
@@ -256,3 +272,46 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     )
     assert code == 0
     assert run_dirs(tmp_path / "envroot")
+
+
+class KeyRecorder(dict):
+    """A resolved config that records which keys a handler reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_config_key_is_read_by_its_command(tmp_path, monkeypatch):
+    # a key its handler never reads is an option that changes nothing
+    path = tmp_path / "m.bin"
+    build_mdn(2, [8], 2, 1, dropout_keep_prob=0.8, seed=0).save(path)
+    runs = {
+        "train": [
+            {"train.task": "composition", "train.hidden_dims": "8",
+             "train.epochs": 1, "train.num_points": 50},
+            # seed 0 collects from seed 1, whose two episodes both survive
+            {"train.task": "driving", "train.hidden_dims": "8",
+             "train.epochs": 0, "train.episodes": 2, "train.seed": 0},
+        ],
+        "grid": [{"grid.model": str(path), "grid.resolution": 3}],
+        "drive": [{"drive.policies": "safe_mode", "drive.seeds": 1,
+                   "drive.densities": "0.5", "drive.replays": 0}],
+        "bench": [{"bench.model": str(path), "bench.samples": 2, "bench.repetitions": 2}],
+        "suite": [{}],
+    }
+    assert runs.keys() == COMMAND_KEYS.keys()
+    monkeypatch.setattr("mdnuq.acceptance.run_suite", lambda run_dir: [])
+    for command, settings in runs.items():
+        read: set[str] = set()
+        for i, overrides in enumerate(settings):
+            cfg = KeyRecorder(resolve_config(command, {}, overrides))
+            run_dir = tmp_path / f"{command}-{i}"
+            run_dir.mkdir()
+            getattr(cli, f"cmd_{command}")(cfg, run_dir)
+            read |= cfg.read
+        assert read == set(COMMAND_KEYS[command]), command

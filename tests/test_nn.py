@@ -141,25 +141,12 @@ def test_gradients_match_finite_differences():
     assert checked >= 100
 
 
-def test_sgd_update_examples():
-    net = small_net(seed=6)
-    w0 = net.layers[0].weights.copy()
-    opt = Optimizer(kind="sgd", learning_rate=0.1)
-    grads = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-    opt.apply(net, grads)
-    assert np.array_equal(net.layers[0].weights, w0)  # zero grads: unchanged
-
-    grads[0][0][0, 0] = 1.0
-    opt.apply(net, grads)
-    assert net.layers[0].weights[0, 0] == pytest.approx(w0[0, 0] - 0.1, abs=0)
-
-
 def test_adam_first_step_matches_hand_evaluation():
     net = small_net(seed=0)
     for layer in net.layers:
         layer.weights[:] = 0.0
         layer.biases[:] = 0.0
-    opt = Optimizer(kind="adam", learning_rate=1e-3)
+    opt = Optimizer(learning_rate=1e-3)
     grads = [(np.ones_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
     opt.apply(net, grads)
     assert opt.step_count == 1
@@ -168,7 +155,7 @@ def test_adam_first_step_matches_hand_evaluation():
 
 def test_parameters_stay_finite_over_many_updates():
     net = init_mlp(MlpConfig(3, [8, 8], 2, seed=13))
-    opt = Optimizer(kind="adam", learning_rate=1e-2)
+    opt = Optimizer(learning_rate=1e-2)
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         x = rng.uniform(-1, 1, size=(4, 3))

@@ -26,7 +26,7 @@ from mdnuq.policy import (
     write_metrics_csv,
     METRICS_COLUMNS,
 )
-from mdnuq.sim import CarState, D_MAX, SimState, Track, extract_features
+from mdnuq.sim import CarState, D_MAX, FeatureVector, SimState, Track, extract_features
 from mdnuq.uncertainty import report, report_from_gmm
 
 
@@ -107,11 +107,11 @@ def test_default_explained_gate_fires_on_split_heading_mixture():
     split = report_from_gmm(heading_mixture([-8.0, 27.6], [0.7, 0.3])).explained_sum
     assert math.log(split) == pytest.approx(-2.55, abs=0.01)
     gap, rule = 20.0, cfg.immediate_switch_distance_ualfd
-    assert decide_mode(split, gap, rule, cfg.log_threshold) == "safe"
+    assert decide_mode(split, gap, rule, cfg.log_explained_threshold) == "safe"
 
     # lane keeping: modes within 2 deg of each other stay with the learned policy
     keep = report_from_gmm(heading_mixture([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3])).explained_sum
-    assert decide_mode(keep, gap, rule, cfg.log_threshold) == "learned"
+    assert decide_mode(keep, gap, rule, cfg.log_explained_threshold) == "learned"
 
 
 # --- expert ------------------------------------------------------------------
@@ -331,6 +331,33 @@ def test_gated_tick_runs_one_forward_pass(monkeypatch):
     )
     assert any(row[5] == "learned" for row in replay)
     assert len(calls) == len(replay)
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.UALFD, PolicyKind.UALFD2])
+def test_gated_policy_reads_its_channel_under_an_explicit_switch(kind):
+    # the policy kind picks the channel; passing a SwitchConfig only changes
+    # the thresholds, so ualfd2 still gates on the unexplained sum
+    model = build_mdn(7, [16], 3, 2, seed=3)
+    switch = SwitchConfig(log_unexplained_threshold=-4.25)
+    _, replay = run_episode(
+        kind, 5, ModelBundle(mdn_k10=model), switch=switch, timeout_s=2.0
+    )
+    explained = kind is PolicyKind.UALFD
+    threshold = (
+        switch.log_explained_threshold if explained else switch.log_unexplained_threshold
+    )
+    track = Track()
+    assert replay
+    channels_differ = False
+    for row in replay:
+        rep = report(model, FeatureVector(*row[7:]).normalized(track))
+        want = rep.explained_sum if explained else rep.unexplained_sum
+        assert row[6] == want
+        assert row[5] == decide_mode(
+            want, row[8], switch.immediate_switch_distance_ualfd, threshold
+        )
+        channels_differ |= rep.explained_sum != rep.unexplained_sum
+    assert channels_differ
 
 
 def test_evaluate_suite_keeps_replays_in_seed_order():

@@ -130,9 +130,6 @@ def test_report_fields_and_purity():
     assert np.array_equal(a.total_mean, b.total_mean)
     assert a.map_index == b.map_index
     assert np.allclose(a.total_variance, a.explained + a.unexplained, rtol=1e-10)
-    rec = a.to_record()
-    assert rec["map_index"] == a.map_index
-    assert rec["explained_0"] == a.explained[0]
 
 
 def test_report_k1_explained_is_exactly_zero():
