@@ -508,10 +508,5 @@ def run_suite(work_dir=None, seed: int = 0) -> list[CriterionResult]:
         for kind, model in ctx._scenario_models.items():
             model.save(f"{work_dir}/scenario_{kind}.bin")
         if ctx._driving is not None:
-            bundle = ctx._driving[0]
-            bundle.mdn_k10.save(f"{work_dir}/driving_mdn_k10.bin")
-            bundle.mdn_k1.save(f"{work_dir}/driving_mdn_k1.bin")
-            from .modelio import save_model
-
-            save_model(f"{work_dir}/driving_regnet.bin", bundle.regnet)
+            ctx._driving[0].save(work_dir)
     return results

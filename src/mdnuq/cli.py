@@ -21,13 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .mdn import TrainSchedule, build_mdn, load_mdn, train_mdn
-from .modelio import load_model, save_model
-from .nn import ConfigError, MlpConfig, MlpNetwork, Optimizer, init_mlp, mse_loss, train_network
+from .nn import ConfigError
 from .policy import (
     ModelBundle,
     PolicyKind,
+    PolicyTrainConfig,
     collect_demonstrations,
     evaluate_suite,
+    train_policy_models,
     write_metrics_csv,
     write_replay_csv,
 )
@@ -46,7 +47,6 @@ from . import acceptance as acceptance_mod
 COMMAND_KEYS: dict[str, dict[str, object]] = {
     "train": {
         "train.task": None,  # scenario name, or "driving"
-        "train.model": "mdn",  # mdn | regnet (driving only)
         "train.mixtures": 10,
         "train.hidden_dims": "256,256",
         "train.epochs": 2000,
@@ -55,9 +55,9 @@ COMMAND_KEYS: dict[str, dict[str, object]] = {
         "train.weight_decay": 1e-6,
         "train.keep_prob": 0.8,
         "train.sigma_max": 5.0,
-        "train.nll_epsilon": 1e-6,
-        "train.num_points": 4000,
-        "train.episodes": 150,
+        "train.nll_epsilon": 1e-6,  # scenario only
+        "train.num_points": 4000,  # scenario only
+        "train.episodes": 150,  # driving only
         "train.seed": 0,
     },
     "grid": {
@@ -68,9 +68,7 @@ COMMAND_KEYS: dict[str, dict[str, object]] = {
         "drive.policies": "safe_mode",
         "drive.seeds": 50,
         "drive.densities": "1.0",
-        "drive.mdn_k10": "",
-        "drive.mdn_k1": "",
-        "drive.regnet": "",
+        "drive.models": "",  # bundle directory, as `mdnuq train` writes for driving
         "drive.replays": 1,
         "drive.seed_base": 0,
     },
@@ -149,83 +147,62 @@ def _hidden_dims(value: object) -> list[int]:
     return dims
 
 
-def _write_trace_csv(path: Path, trace: list[float], column: str) -> None:
+def _write_trace_csv(path: Path, traces: dict[str, list[float]]) -> None:
+    """One row per epoch, one column per named loss trace."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["epoch", column])
-        for i, v in enumerate(trace):
-            w.writerow([i, repr(v)])
+        w.writerow(["epoch", *traces])
+        for i, values in enumerate(zip(*traces.values())):
+            w.writerow([i, *map(repr, values)])
 
 
 def cmd_train(cfg: dict[str, object], run_dir: Path) -> None:
     task = str(cfg["train.task"])
     seed = int(cfg["train.seed"])
-    hidden = _hidden_dims(cfg["train.hidden_dims"])
-    schedule = TrainSchedule(
+    recipe = PolicyTrainConfig(
+        hidden_dims=tuple(_hidden_dims(cfg["train.hidden_dims"])),
+        num_mixtures=int(cfg["train.mixtures"]),
         epochs=int(cfg["train.epochs"]),
         batch_size=int(cfg["train.batch_size"]),
         learning_rate=float(cfg["train.learning_rate"]),
+        weight_decay=float(cfg["train.weight_decay"]),
+        dropout_keep_prob=float(cfg["train.keep_prob"]),
+        sigma_max=float(cfg["train.sigma_max"]),
     )
-    if task in SCENARIO_KINDS:
+    if task == "driving":
+        # the acceptance pipeline's recipe: demonstrations from seed + 100,
+        # then the K=10, K=1 and regression models of one bundle
+        demos = collect_demonstrations(int(cfg["train.episodes"]), seed=seed + 100)
+        bundle = train_policy_models(demos, recipe, seed=seed)
+        bundle.save(run_dir)
+        traces = bundle.loss_traces
+    elif task in SCENARIO_KINDS:
         data = generate(ScenarioSpec(task, num_points=int(cfg["train.num_points"]), seed=seed + 1))
-    elif task == "driving":
-        data = collect_demonstrations(int(cfg["train.episodes"]), seed=seed + 1)
-    else:
-        raise ConfigError(f"unknown train.task {task!r}")
-
-    model_kind = str(cfg["train.model"])
-    if model_kind == "mdn":
         model = build_mdn(
             data.inputs.shape[1],
-            hidden,
-            int(cfg["train.mixtures"]),
+            list(recipe.hidden_dims),
+            recipe.num_mixtures,
             data.targets.shape[1],
-            sigma_max=float(cfg["train.sigma_max"]),
+            sigma_max=recipe.sigma_max,
             nll_epsilon=float(cfg["train.nll_epsilon"]),
-            dropout_keep_prob=float(cfg["train.keep_prob"]),
-            weight_decay=float(cfg["train.weight_decay"]),
+            dropout_keep_prob=recipe.dropout_keep_prob,
+            weight_decay=recipe.weight_decay,
             seed=seed,
         )
-        trace = train_mdn(model, data, schedule, seed=seed)
+        schedule = TrainSchedule(
+            epochs=recipe.epochs,
+            batch_size=recipe.batch_size,
+            learning_rate=recipe.learning_rate,
+        )
+        traces = {"nll": train_mdn(model, data, schedule, seed=seed)}
         model.save(run_dir / "model.bin")
-        _write_trace_csv(run_dir / "loss_trace.csv", trace, "nll")
-    elif model_kind == "regnet":
-        if task != "driving":
-            raise ConfigError("train.model=regnet applies to the driving task only")
-        net = init_mlp(
-            MlpConfig(
-                input_dim=data.inputs.shape[1],
-                hidden_dims=hidden,
-                output_dim=data.targets.shape[1],
-                dropout_keep_prob=float(cfg["train.keep_prob"]),
-                weight_decay=float(cfg["train.weight_decay"]),
-                seed=seed,
-            )
-        )
-        trace = train_network(
-            net,
-            data.inputs,
-            data.targets,
-            mse_loss,
-            epochs=schedule.epochs,
-            batch_size=schedule.batch_size,
-            optimizer=Optimizer(learning_rate=schedule.learning_rate),
-            seed=seed,
-        )
-        save_model(run_dir / "model.bin", net)
-        _write_trace_csv(run_dir / "loss_trace.csv", trace, "mse")
     else:
-        raise ConfigError(f"unknown train.model {model_kind!r}")
-    print(f"model written to {run_dir / 'model.bin'}")
-    if trace:
-        print(f"loss: {trace[0]:.6f} -> {trace[-1]:.6f} over {len(trace)} epochs")
-
-
-def _load_regnet(path: str) -> MlpNetwork:
-    net, mdn_cfg = load_model(path)
-    if mdn_cfg is not None:
-        raise ConfigError(f"{path}: file holds a mixture model, not a regression network")
-    return net
+        raise ConfigError(f"unknown train.task {task!r}")
+    _write_trace_csv(run_dir / "loss_trace.csv", traces)
+    print(f"model files and loss_trace.csv written to {run_dir}")
+    for name, trace in traces.items():
+        if trace:
+            print(f"{name} loss: {trace[0]:.6f} -> {trace[-1]:.6f} over {len(trace)} epochs")
 
 
 def cmd_grid(cfg: dict[str, object], run_dir: Path) -> None:
@@ -239,11 +216,8 @@ def cmd_grid(cfg: dict[str, object], run_dir: Path) -> None:
 def cmd_drive(cfg: dict[str, object], run_dir: Path, jobs: int = 1) -> None:
     policies = [PolicyKind(p.strip()) for p in str(cfg["drive.policies"]).split(",") if p.strip()]
     densities = [float(v) for v in str(cfg["drive.densities"]).split(",") if v.strip()]
-    bundle = ModelBundle(
-        mdn_k10=load_mdn(str(cfg["drive.mdn_k10"])) if cfg["drive.mdn_k10"] else None,
-        mdn_k1=load_mdn(str(cfg["drive.mdn_k1"])) if cfg["drive.mdn_k1"] else None,
-        regnet=_load_regnet(str(cfg["drive.regnet"])) if cfg["drive.regnet"] else None,
-    )
+    models_dir = str(cfg["drive.models"])
+    bundle = ModelBundle.load(models_dir, policies) if models_dir else ModelBundle()
     seeds = int(cfg["drive.seeds"])
     seed_base = int(cfg["drive.seed_base"])
     keep_replays = bool(int(cfg["drive.replays"]))

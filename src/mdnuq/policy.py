@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import uncertainty
-from .mdn import MdnModel, TrainingSet, TrainSchedule, train_mdn, predict_map
+from .mdn import MdnModel, TrainingSet, TrainSchedule, build_mdn, load_mdn, train_mdn, predict_map
+from .modelio import load_model, save_model
 from .nn import ConfigError, MlpConfig, MlpNetwork, Optimizer, init_mlp, mse_loss, train_network
 from .sim import (
     CRUISE_SPEED_KMH,
@@ -335,25 +336,68 @@ def learned_policy(
     return HeadingTarget(float(mean[0]), float(mean[1]))
 
 
+# the bundle slot each policy drives with (safe mode needs no model)
+_SLOT_FOR_KIND = {
+    PolicyKind.UALFD: "mdn_k10",
+    PolicyKind.UALFD2: "mdn_k10",
+    PolicyKind.MDN_K10: "mdn_k10",
+    PolicyKind.MDN_K1: "mdn_k1",
+    PolicyKind.REGNET: "regnet",
+    PolicyKind.SAFE_MODE: None,
+}
+DRIVING_INPUT_DIM = len(fields(FeatureVector))
+
+
 @dataclass
 class ModelBundle:
     mdn_k10: MdnModel | None = None
     mdn_k1: MdnModel | None = None
     regnet: MlpNetwork | None = None
+    # per-epoch training loss of each slot, filled by `train_policy_models`
+    loss_traces: dict[str, list[float]] = field(default_factory=dict, init=False, repr=False)
 
     def for_kind(self, kind: PolicyKind):
-        table = {
-            PolicyKind.UALFD: self.mdn_k10,
-            PolicyKind.UALFD2: self.mdn_k10,
-            PolicyKind.MDN_K10: self.mdn_k10,
-            PolicyKind.MDN_K1: self.mdn_k1,
-            PolicyKind.REGNET: self.regnet,
-            PolicyKind.SAFE_MODE: None,
-        }
-        model = table[kind]
-        if kind is not PolicyKind.SAFE_MODE and model is None:
+        slot = _SLOT_FOR_KIND[kind]
+        model = getattr(self, slot) if slot else None
+        if slot and model is None:
             raise ConfigError(f"policy {kind.value!r} needs a trained model")
         return model
+
+    @staticmethod
+    def _file_for(directory: str | Path, slot: str) -> Path:
+        """A bundle directory holds one `driving_<slot>.bin` file per slot."""
+        return Path(directory) / f"driving_{slot}.bin"
+
+    def save(self, directory: str | Path) -> None:
+        """Write each model the bundle holds to its file in `directory`."""
+        for slot in ("mdn_k10", "mdn_k1", "regnet"):
+            model = getattr(self, slot)
+            if isinstance(model, MdnModel):
+                model.save(self._file_for(directory, slot))
+            elif model is not None:
+                save_model(self._file_for(directory, slot), model)
+
+    @classmethod
+    def load(cls, directory: str | Path, kinds: list[PolicyKind]) -> "ModelBundle":
+        """Read only the files the policies in `kinds` drive with. A file of
+        the wrong kind or input width raises `ConfigError` naming it."""
+        models = {}
+        for slot in sorted({_SLOT_FOR_KIND[k] for k in kinds} - {None}):
+            path = cls._file_for(directory, slot)
+            if slot == "regnet":
+                net, head = load_model(path)
+                if head is not None:
+                    raise ConfigError(f"{path}: file holds a mixture model, not a regression network")
+                models[slot] = net
+            else:
+                models[slot] = load_mdn(path)
+                net = models[slot].net
+            if net.config.input_dim != DRIVING_INPUT_DIM:
+                raise ConfigError(
+                    f"{path}: model takes {net.config.input_dim} inputs, "
+                    f"driving needs {DRIVING_INPUT_DIM}"
+                )
+        return cls(**models)
 
 
 @dataclass
@@ -562,6 +606,15 @@ class SuiteRow:
     replays: list[list[list]] = field(default_factory=list)  # per seed, when kept
 
 
+def _suite_episode(
+    task: tuple[str, float, int], models: ModelBundle, keep_replays: bool
+) -> tuple[EpisodeMetrics, list[list]]:
+    kind_value, density, seed = task
+    metrics, replay = run_episode(PolicyKind(kind_value), seed, models, density=density)
+    return metrics, (replay if keep_replays else [])
+
+
+# pool workers only: a serial suite must not keep its models alive after it returns
 _WORKER_CONTEXT: dict = {}
 
 
@@ -570,11 +623,7 @@ def _worker_init(models: ModelBundle, keep_replays: bool) -> None:
 
 
 def _worker_episode(task: tuple[str, float, int]) -> tuple[EpisodeMetrics, list[list]]:
-    kind_value, density, seed = task
-    metrics, replay = run_episode(
-        PolicyKind(kind_value), seed, _WORKER_CONTEXT["models"], density=density
-    )
-    return metrics, (replay if _WORKER_CONTEXT["keep_replays"] else [])
+    return _suite_episode(task, **_WORKER_CONTEXT)
 
 
 def evaluate_suite(
@@ -614,8 +663,7 @@ def evaluate_suite(
         ) as pool:
             results = list(pool.map(_worker_episode, tasks, chunksize=4))
     else:
-        _worker_init(models, keep_replays)
-        results = [_worker_episode(t) for t in tasks]
+        results = [_suite_episode(t, models, keep_replays) for t in tasks]
 
     rows = []
     index = 0
@@ -691,9 +739,8 @@ class PolicyTrainConfig:
 def train_policy_models(
     demos: TrainingSet, cfg: PolicyTrainConfig | None = None, seed: int = 0
 ) -> ModelBundle:
-    """Train the three learned policies (K=10 mixture, K=1 density, regression)."""
-    from .mdn import build_mdn
-
+    """Train the three learned policies (K=10 mixture, K=1 density, regression);
+    the bundle's `loss_traces` hold their per-epoch NLL, NLL and squared error."""
     cfg = cfg or PolicyTrainConfig()
     schedule = TrainSchedule(
         epochs=cfg.epochs,
@@ -717,9 +764,9 @@ def train_policy_models(
         )
 
     mdn_k10 = fresh_mdn(cfg.num_mixtures, 0)
-    train_mdn(mdn_k10, demos, schedule, seed=seed)
+    k10_trace = train_mdn(mdn_k10, demos, schedule, seed=seed)
     mdn_k1 = fresh_mdn(1, 1)
-    train_mdn(mdn_k1, demos, schedule, seed=seed + 1)
+    k1_trace = train_mdn(mdn_k1, demos, schedule, seed=seed + 1)
 
     regnet = init_mlp(
         MlpConfig(
@@ -731,7 +778,7 @@ def train_policy_models(
             seed=seed + 2,
         )
     )
-    train_network(
+    regnet_trace = train_network(
         regnet,
         demos.inputs,
         demos.targets,
@@ -741,4 +788,6 @@ def train_policy_models(
         optimizer=Optimizer(learning_rate=cfg.learning_rate, max_grad_norm=cfg.max_grad_norm),
         seed=seed + 2,
     )
-    return ModelBundle(mdn_k10=mdn_k10, mdn_k1=mdn_k1, regnet=regnet)
+    bundle = ModelBundle(mdn_k10=mdn_k10, mdn_k1=mdn_k1, regnet=regnet)
+    bundle.loss_traces = {"mdn_k10": k10_trace, "mdn_k1": k1_trace, "regnet": regnet_trace}
+    return bundle

@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ from mdnuq import cli
 from mdnuq.cli import COMMAND_KEYS, main, read_config_file, resolve_config
 from mdnuq.mdn import MdnConfig, build_mdn
 from mdnuq.modelio import load_model
-from mdnuq.nn import ConfigError
+from mdnuq.nn import ConfigError, MlpConfig, init_mlp
+from mdnuq.policy import PolicyTrainConfig, collect_demonstrations, train_policy_models
 
 
 def run_cli(*args) -> int:
@@ -197,17 +201,110 @@ def test_drive_simulates_each_episode_once(tmp_path, monkeypatch, jobs):
 
 def test_drive_rejects_mixture_file_as_regnet(tmp_path, capsys):
     # a mixture model's first two raw outputs are mixture logits, not (cos, sin)
-    path = tmp_path / "k10.bin"
+    bundle_dir = tmp_path / "bundle"
+    bundle_dir.mkdir()
+    path = bundle_dir / "driving_regnet.bin"
     build_mdn(7, [8], 10, 2, seed=0).save(path)
     code = run_cli(
         "--out-dir", str(tmp_path / "runs"), "drive",
         "--set", "drive.policies=regnet",
-        "--set", f"drive.regnet={path}",
+        "--set", f"drive.models={bundle_dir}",
         "--set", "drive.seeds=1",
         "--set", "drive.replays=0",
     )
     assert code == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "policy_name, slot, model",
+    [
+        ("ualfd", "mdn_k10", build_mdn(2, [8], 10, 1, seed=0)),
+        ("regnet", "regnet", init_mlp(MlpConfig(input_dim=2, hidden_dims=[8], output_dim=2))),
+    ],
+)
+def test_drive_refuses_model_of_wrong_input_width(tmp_path, capsys, policy_name, slot, model):
+    # a 2-input scenario model under a driving name is refused before any
+    # episode runs, with the file named, not at the first tick's forward pass
+    bundle_dir = tmp_path / "bundle"
+    bundle_dir.mkdir()
+    path = bundle_dir / f"driving_{slot}.bin"
+    policy.ModelBundle(**{slot: model}).save(bundle_dir)
+    code = run_cli(
+        "--out-dir", str(tmp_path / "runs"), "drive",
+        "--set", f"drive.policies={policy_name}",
+        "--set", f"drive.models={bundle_dir}",
+        "--set", "drive.seeds=1",
+        "--set", "drive.replays=0",
+    )
+    assert code == 2
+    assert f"{path}: model takes 2 inputs, driving needs 7" in capsys.readouterr().err
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    assert not (run_dir / "metrics.csv").exists()
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_driving_train_bundle_drives_and_matches_the_recipe(tmp_path):
+    code = run_cli(
+        "--out-dir", str(tmp_path / "train"), "train",
+        "--set", "train.task=driving",
+        "--set", "train.episodes=2",
+        "--set", "train.hidden_dims=8",
+        "--set", "train.epochs=2",
+    )
+    assert code == 0
+    (train_dir,) = run_dirs(tmp_path / "train")
+    code = run_cli(
+        "--out-dir", str(tmp_path / "drive"), "drive",
+        "--set", "drive.policies=safe_mode,ualfd,ualfd2,mdn_k10,mdn_k1,regnet",
+        "--set", f"drive.models={train_dir}",
+        "--set", "drive.seeds=1",
+        "--set", "drive.replays=1",
+    )
+    assert code == 0
+    (drive_dir,) = run_dirs(tmp_path / "drive")
+    with open(drive_dir / "metrics.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 6
+
+    # the same recipe called directly, with the CLI's default hyperparameters
+    demos = collect_demonstrations(2, seed=100)
+    recipe = PolicyTrainConfig(hidden_dims=(8,), epochs=2, batch_size=64, dropout_keep_prob=0.8)
+    bundle = train_policy_models(demos, recipe, seed=0)
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    bundle.save(direct)
+    cli._write_trace_csv(direct / "loss_trace.csv", bundle.loss_traces)
+    names = ["driving_mdn_k10.bin", "driving_mdn_k1.bin", "driving_regnet.bin", "loss_trace.csv"]
+    for name in names:
+        assert sha256(train_dir / name) == sha256(direct / name), name
+    with open(train_dir / "loss_trace.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
+
+
+def readme_commands() -> list[tuple[str, list[str]]]:
+    """(command, --set items) of every `mdnuq ...` line in README's fenced blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            tokens = shlex.split(line, comments=True)
+            if tokens[:1] != ["mdnuq"]:
+                continue
+            command = next(t for t in tokens[1:] if t in COMMAND_KEYS)
+            items = [tokens[i + 1] for i, t in enumerate(tokens) if t == "--set"]
+            found.append((command, items))
+    return found
+
+
+def test_readme_commands_use_only_keys_their_command_accepts():
+    commands = readme_commands()
+    assert {c for c, _ in commands} == set(COMMAND_KEYS)
+    for command, items in commands:
+        overrides = dict(item.split("=", 1) for item in items)
+        resolve_config(command, {}, overrides)
 
 
 def test_bench_rejects_single_sample(tmp_path):
@@ -294,7 +391,7 @@ def test_every_config_key_is_read_by_its_command(tmp_path, monkeypatch):
         "train": [
             {"train.task": "composition", "train.hidden_dims": "8",
              "train.epochs": 1, "train.num_points": 50},
-            # seed 0 collects from seed 1, whose two episodes both survive
+            # seed 0 collects from seed 100, whose two episodes both survive
             {"train.task": "driving", "train.hidden_dims": "8",
              "train.epochs": 0, "train.episodes": 2, "train.seed": 0},
         ],

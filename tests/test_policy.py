@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -369,3 +371,26 @@ def test_evaluate_suite_keeps_replays_in_seed_order():
     for s, replay in enumerate(rows[0].replays):
         assert replay == run_episode(PolicyKind.SAFE_MODE, 3 + s, bundle, density=0.5)[1]
     assert evaluate_suite([PolicyKind.SAFE_MODE], 1, [0.5], bundle)[0].replays == []
+
+
+def test_serial_evaluate_suite_releases_its_models():
+    # only pool workers keep module state; a serial suite must not pin its bundle
+    model = build_mdn(7, [8], 2, 2, seed=0)
+    ref = weakref.ref(model)
+    evaluate_suite([PolicyKind.MDN_K10], 1, [0.5], ModelBundle(mdn_k10=model))
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_bundle_loads_only_the_files_its_policies_need(tmp_path):
+    k1 = build_mdn(7, [8], 1, 2, seed=1)
+    ModelBundle(mdn_k1=k1).save(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["driving_mdn_k1.bin"]
+    loaded = ModelBundle.load(tmp_path, [PolicyKind.MDN_K1, PolicyKind.SAFE_MODE])
+    assert loaded.mdn_k10 is None and loaded.regnet is None
+    assert loaded.mdn_k1.cfg == k1.cfg
+    for a, b in zip(loaded.mdn_k1.net.parameter_arrays(), k1.net.parameter_arrays()):
+        assert np.array_equal(a, b)
+    with pytest.raises(FileNotFoundError):
+        ModelBundle.load(tmp_path, [PolicyKind.UALFD])
