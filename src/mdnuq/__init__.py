@@ -30,13 +30,9 @@ from .mdn import (
 from .uncertainty import (
     McDropoutReport,
     UncertaintyReport,
-    explained_variance,
     mc_dropout_variance,
     report,
     report_from_gmm,
-    total_mean,
-    total_variance,
-    unexplained_variance,
 )
 from .modelio import load_model, save_model
 

@@ -2,10 +2,13 @@
 
 `run_suite` executes all criteria in order and returns structured results;
 the pytest suite asserts the same functions one by one. Heavy artifacts
-(trained scenario models, the driving bundle) are built once per context
-and shared. All seeds are fixed, so reruns are reproducible; the oracles
-here (sampling, finite differences, exhaustive scans) are written
-independently of the library code paths they check.
+are built once per context and shared, each by the program's own recipe:
+the scenario models by `synthetic.train_scenario_model`, the driving bundle
+by `policy.train_policy_models`. Criteria 1 and 2 check the decomposition
+that `uncertainty.report_from_gmm` computes. All seeds are fixed, so reruns
+are reproducible; the oracles here (sampling, finite differences,
+exhaustive scans) are written independently of the library code paths they
+check.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdn import GmmParams, MdnConfig, MdnModel, TrainSchedule, build_mdn, nll_loss, train_mdn, transform_batch
+from .mdn import GmmParams, MdnConfig, MdnModel, PolicyTrainConfig, build_mdn, nll_loss, transform_batch
 from .nn import MlpConfig, init_mlp
 from .policy import (
     DemoRandomization,
     ModelBundle,
     PolicyKind,
-    PolicyTrainConfig,
     SuiteRow,
     collect_demonstrations,
     evaluate_suite,
@@ -41,19 +43,12 @@ from .sim import (
     step_unicycle,
     wrap_angle_deg,
 )
-from .synthetic import ScenarioSpec, evaluate_grid, generate, quadrant_stats, target_fn
-from .uncertainty import (
-    explained_variance,
-    mc_dropout_variance,
-    report,
-    total_variance,
-    unexplained_variance,
-)
+from .synthetic import evaluate_grid, quadrant_stats, target_fn, train_scenario_model
+from .uncertainty import mc_dropout_variance, report, report_from_gmm
 
 NETWORK_TOPOLOGY = (256, 256)  # two hidden layers of 256, tanh
 SCENARIO_EPOCHS = 400
 SCENARIO_BATCH = 128
-SCENARIO_WEIGHT_DECAY = 1e-6
 # training-time dropout keeps the mixtures diverse, which the absence-of-data
 # signature needs; the composition run trains without it because MAP-mean
 # branch reconstruction wants noise-free convergence
@@ -108,23 +103,14 @@ class AcceptanceContext:
 
     def scenario_model(self, kind: str) -> MdnModel:
         if kind not in self._scenario_models:
-            data = generate(ScenarioSpec(kind, seed=self.seed + 1))
-            model = build_mdn(
-                2,
-                list(NETWORK_TOPOLOGY),
-                10,
-                1,
+            recipe = PolicyTrainConfig(
+                hidden_dims=NETWORK_TOPOLOGY,
+                epochs=SCENARIO_EPOCHS,
+                batch_size=SCENARIO_BATCH,
                 dropout_keep_prob=SCENARIO_KEEP_PROB[kind],
-                weight_decay=SCENARIO_WEIGHT_DECAY,
-                seed=self.seed,
+                max_grad_norm=None,
             )
-            train_mdn(
-                model,
-                data,
-                TrainSchedule(epochs=SCENARIO_EPOCHS, batch_size=SCENARIO_BATCH),
-                seed=self.seed,
-            )
-            self._scenario_models[kind] = model
+            self._scenario_models[kind], _ = train_scenario_model(kind, recipe, seed=self.seed)
         return self._scenario_models[kind]
 
     def scenario_grid(self, kind: str):
@@ -157,9 +143,8 @@ def criterion_total_variance_identity(ctx: AcceptanceContext) -> CriterionResult
     rng = np.random.default_rng(ctx.seed + 11)
     worst = 0.0
     for _ in range(10_000):
-        g = _random_gmm(rng)
-        total = total_variance(g)
-        parts = explained_variance(g) + unexplained_variance(g)
+        rep = report_from_gmm(_random_gmm(rng))
+        total, parts = rep.total_variance, rep.explained + rep.unexplained
         worst = max(worst, float(np.max(np.abs(total - parts) / np.maximum(total, 1e-300))))
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-10 and elapsed < 5.0
@@ -182,7 +167,8 @@ def criterion_monte_carlo_oracle(ctx: AcceptanceContext) -> CriterionResult:
             g.variances[idx]
         )
         empirical = samples.var(axis=0)
-        rel = np.max(np.abs(empirical - total_variance(g)) / total_variance(g))
+        total = report_from_gmm(g).total_variance
+        rel = np.max(np.abs(empirical - total) / total)
         worst = max(worst, float(rel))
     elapsed = time.perf_counter() - t0
     passed = worst <= 0.01 and elapsed < 60.0
@@ -294,9 +280,15 @@ def criterion_composition_signature(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_k1_degeneracy(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
-    data = generate(ScenarioSpec("composition", seed=ctx.seed + 1))
-    model = build_mdn(2, list(NETWORK_TOPOLOGY), 1, 1, seed=ctx.seed)
-    train_mdn(model, data, TrainSchedule(epochs=60, batch_size=SCENARIO_BATCH), seed=ctx.seed)
+    recipe = PolicyTrainConfig(
+        hidden_dims=NETWORK_TOPOLOGY,
+        num_mixtures=1,
+        epochs=60,
+        batch_size=SCENARIO_BATCH,
+        weight_decay=0.0,
+        max_grad_norm=None,
+    )
+    model, _ = train_scenario_model("composition", recipe, seed=ctx.seed)
     grid = evaluate_grid(model, 40)
     nonzero = int(np.count_nonzero(grid.explained))
     elapsed = time.perf_counter() - t0

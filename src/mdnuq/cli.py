@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands: train, grid, drive, bench, suite. Options live in a flat
+Subcommands: train, grid, drive, bench, suite. `train` runs one of the two
+training recipes, `synthetic.train_scenario_model` for a scenario or
+`policy.train_policy_models` for driving. Options live in a flat
 key=value config file (dotted sections, e.g. ``train.epochs = 500``);
 command-line flags override file values, and unknown keys are rejected by
 name. Every run writes into a fresh run-stamped directory under the output
@@ -15,17 +17,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
-from .mdn import TrainSchedule, build_mdn, load_mdn, train_mdn
+from .mdn import PolicyTrainConfig, load_mdn
 from .nn import ConfigError
 from .policy import (
     ModelBundle,
     PolicyKind,
-    PolicyTrainConfig,
     collect_demonstrations,
     evaluate_suite,
     train_policy_models,
@@ -34,10 +36,9 @@ from .policy import (
 )
 from .synthetic import (
     SCENARIO_KINDS,
-    ScenarioSpec,
     evaluate_grid,
-    generate,
     quadrant_stats,
+    train_scenario_model,
     write_grid_csv,
     write_quadrant_csv,
 )
@@ -55,7 +56,6 @@ COMMAND_KEYS: dict[str, dict[str, object]] = {
         "train.weight_decay": 1e-6,
         "train.keep_prob": 0.8,
         "train.sigma_max": 5.0,
-        "train.nll_epsilon": 1e-6,  # scenario only
         "train.num_points": 4000,  # scenario only
         "train.episodes": 150,  # driving only
         "train.seed": 0,
@@ -177,25 +177,12 @@ def cmd_train(cfg: dict[str, object], run_dir: Path) -> None:
         bundle.save(run_dir)
         traces = bundle.loss_traces
     elif task in SCENARIO_KINDS:
-        data = generate(ScenarioSpec(task, num_points=int(cfg["train.num_points"]), seed=seed + 1))
-        model = build_mdn(
-            data.inputs.shape[1],
-            list(recipe.hidden_dims),
-            recipe.num_mixtures,
-            data.targets.shape[1],
-            sigma_max=recipe.sigma_max,
-            nll_epsilon=float(cfg["train.nll_epsilon"]),
-            dropout_keep_prob=recipe.dropout_keep_prob,
-            weight_decay=recipe.weight_decay,
-            seed=seed,
+        # scenario models train without the driving recipe's gradient clipping
+        model, trace = train_scenario_model(
+            task, replace(recipe, max_grad_norm=None), seed, int(cfg["train.num_points"])
         )
-        schedule = TrainSchedule(
-            epochs=recipe.epochs,
-            batch_size=recipe.batch_size,
-            learning_rate=recipe.learning_rate,
-        )
-        traces = {"nll": train_mdn(model, data, schedule, seed=seed)}
         model.save(run_dir / "model.bin")
+        traces = {"nll": trace}
     else:
         raise ConfigError(f"unknown train.task {task!r}")
     _write_trace_csv(run_dir / "loss_trace.csv", traces)

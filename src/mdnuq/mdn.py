@@ -209,12 +209,11 @@ def build_mdn(
     output_dim: int,
     *,
     sigma_max: float = 5.0,
-    nll_epsilon: float = 1e-6,
     dropout_keep_prob: float = 1.0,
     weight_decay: float = 0.0,
     seed: int = 0,
 ) -> MdnModel:
-    cfg = MdnConfig(num_mixtures, output_dim, sigma_max, nll_epsilon)
+    cfg = MdnConfig(num_mixtures, output_dim, sigma_max)
     cfg.validate()
     net = init_mlp(
         MlpConfig(
@@ -242,6 +241,27 @@ class TrainSchedule:
     batch_size: int = 64
     learning_rate: float = 1e-3
     max_grad_norm: float | None = None
+
+
+@dataclass
+class PolicyTrainConfig:
+    """One training recipe: network, mixture head and schedule. The defaults
+    are the driving policies'; scenario training passes its own."""
+
+    hidden_dims: tuple[int, ...] = (256, 256)
+    num_mixtures: int = 10
+    epochs: int = 150
+    batch_size: int = 128
+    learning_rate: float = 1e-3
+    weight_decay: float = 1e-6
+    dropout_keep_prob: float = 1.0
+    sigma_max: float = 5.0
+    # the trig heading encoding leaves the cos dimension almost variance-free,
+    # which makes raw NLL gradients spiky; clipping keeps training stable
+    max_grad_norm: float | None = 5.0
+
+    def schedule(self) -> TrainSchedule:
+        return TrainSchedule(self.epochs, self.batch_size, self.learning_rate, self.max_grad_norm)
 
 
 def train_mdn(

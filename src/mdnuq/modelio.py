@@ -58,16 +58,24 @@ def save_model(path: str | Path, net: MlpNetwork, mdn_cfg=None) -> None:
             fh.write(np.ascontiguousarray(layer.biases, dtype=_F8).tobytes())
 
 
+def _read(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ConfigError(f"{path}: truncated model file")
+    return data
+
+
 def load_model(path: str | Path):
-    """Load a model file; returns (network, mdn_config_or_None)."""
+    """Load a model file; returns (network, mdn_config_or_None). A file cut
+    short or with bytes after the last layer is refused with a ConfigError."""
     from .mdn import MdnConfig  # local import to avoid a cycle
 
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a model file (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read(fh, 4, path))
+        header = json.loads(_read(fh, hlen, path).decode("utf-8"))
         if header.get("format_version") != FORMAT_VERSION:
             raise ConfigError(f"{path}: unsupported format version")
         m = header["mlp"]
@@ -83,9 +91,11 @@ def load_model(path: str | Path):
         dims = [cfg.input_dim, *cfg.hidden_dims, cfg.output_dim]
         layers = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(fh.read(8 * fan_out * fan_in), dtype=_F8)
-            b = np.frombuffer(fh.read(8 * fan_out), dtype=_F8)
+            w = np.frombuffer(_read(fh, 8 * fan_out * fan_in, path), dtype=_F8)
+            b = np.frombuffer(_read(fh, 8 * fan_out, path), dtype=_F8)
             layers.append(DenseLayer(w.reshape(fan_out, fan_in).copy(), b.copy()))
+        if fh.read(1):
+            raise ConfigError(f"{path}: unexpected bytes after the last layer")
         net = MlpNetwork(cfg, layers)
         head = header.get("mdn")
         mdn_cfg = None

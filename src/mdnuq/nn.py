@@ -94,10 +94,6 @@ class MlpNetwork:
         self.layers = layers
         self._cache: list[_LayerCache] | None = None
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(l.weights.size + l.biases.size for l in self.layers)
-
     def parameter_arrays(self) -> list[np.ndarray]:
         out = []
         for layer in self.layers:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import uncertainty
-from .mdn import MdnModel, TrainingSet, TrainSchedule, build_mdn, load_mdn, train_mdn, predict_map
+from .mdn import MdnModel, PolicyTrainConfig, TrainingSet, build_mdn, load_mdn, train_mdn, predict_map
 from .modelio import load_model, save_model
 from .nn import ConfigError, MlpConfig, MlpNetwork, Optimizer, init_mlp, mse_loss, train_network
 from .sim import (
@@ -173,14 +173,6 @@ def steer_toward_lane(features: FeatureVector, current_lane: int, target_lane: i
     """Desired heading (deg) toward a lane center, capped."""
     error = (target_lane - current_lane) * track.lane_width - features.lane_offset
     return max(-EXPERT_STEER_CAP, min(EXPERT_STEER_CAP, EXPERT_STEER_GAIN * error))
-
-
-def expert_policy(features: FeatureVector, current_lane: int, track: Track) -> HeadingTarget:
-    """Clearance-maximizing lane chooser with lane-center steering."""
-    target = expert_target_lane(features, current_lane, track)
-    return HeadingTarget.from_angle_deg(
-        steer_toward_lane(features, current_lane, target, track)
-    )
 
 
 @dataclass
@@ -721,33 +713,13 @@ def write_replay_csv(replay: list[list], path: str | Path) -> None:
             w.writerow([x if isinstance(x, str) else repr(float(x)) for x in row])
 
 
-@dataclass
-class PolicyTrainConfig:
-    hidden_dims: tuple[int, ...] = (256, 256)
-    num_mixtures: int = 10
-    epochs: int = 150
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-6
-    dropout_keep_prob: float = 1.0
-    sigma_max: float = 5.0
-    # the trig heading encoding leaves the cos dimension almost variance-free,
-    # which makes raw NLL gradients spiky; clipping keeps training stable
-    max_grad_norm: float = 5.0
-
-
 def train_policy_models(
     demos: TrainingSet, cfg: PolicyTrainConfig | None = None, seed: int = 0
 ) -> ModelBundle:
     """Train the three learned policies (K=10 mixture, K=1 density, regression);
     the bundle's `loss_traces` hold their per-epoch NLL, NLL and squared error."""
     cfg = cfg or PolicyTrainConfig()
-    schedule = TrainSchedule(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        max_grad_norm=cfg.max_grad_norm,
-    )
+    schedule = cfg.schedule()
     input_dim = demos.inputs.shape[1]
     out_dim = demos.targets.shape[1]
 

@@ -3,8 +3,9 @@
 Three scenarios over the square [-6, 6]^2, all built on the same radial
 target function: one removes every sample from the first quadrant, one adds
 heavy uniform output noise inside the first quadrant, and one draws each
-target from the function or its negation by a fair coin. A trained mixture
-model is then evaluated on a regular grid and summarized per quadrant.
+target from the function or its negation by a fair coin. A mixture model
+trained on one (`train_scenario_model`, the only scenario training recipe) is
+then evaluated on a regular grid and summarized per quadrant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdn import MdnModel, TrainingSet
+from .mdn import MdnModel, PolicyTrainConfig, TrainingSet, build_mdn, train_mdn
 from .nn import ConfigError
 from .uncertainty import report
 
@@ -78,6 +79,26 @@ def generate(spec: ScenarioSpec) -> TrainingSet:
         y = sign * target_fn(x)
 
     return TrainingSet(x, y.reshape(n, 1))
+
+
+def train_scenario_model(
+    kind: str, cfg: PolicyTrainConfig, seed: int = 0, num_points: int = 4000
+) -> tuple[MdnModel, list[float]]:
+    """Train a mixture model on one scenario, the counterpart of
+    `policy.train_policy_models`: data from `seed + 1`, weights and batch order
+    from `seed`. Returns the model and its per-epoch NLL."""
+    data = generate(ScenarioSpec(kind, num_points=num_points, seed=seed + 1))
+    model = build_mdn(
+        2,
+        list(cfg.hidden_dims),
+        cfg.num_mixtures,
+        1,
+        sigma_max=cfg.sigma_max,
+        dropout_keep_prob=cfg.dropout_keep_prob,
+        weight_decay=cfg.weight_decay,
+        seed=seed,
+    )
+    return model, train_mdn(model, data, cfg.schedule(), seed=seed)
 
 
 @dataclass

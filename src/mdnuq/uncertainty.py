@@ -4,8 +4,10 @@ For a Gaussian mixture {pi_k, mu_k, Sigma_k} the predictive variance splits,
 by the law of total variance, into the spread of the mixture means around
 the total mean (explained part, the model-ignorance channel) and the
 weighted average of the per-mixture variances (unexplained part, the noise
-channel). Everything here is a single forward pass plus O(K*d) arithmetic;
-`mc_dropout_variance` is the sampling-based comparator.
+channel). `report_from_gmm` is the one place these moments are computed;
+`report` adds the single forward pass in front of it, so a query costs one
+pass plus O(K*d) arithmetic. `mc_dropout_variance` is the sampling-based
+comparator.
 """
 
 from __future__ import annotations
@@ -26,31 +28,6 @@ def _mix(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     (n, K) with (n, K, d) gives (n, d). A stacked matmul, so a batch of one
     sums in the same order as a single mixture."""
     return (weights[..., None, :] @ values)[..., 0, :]
-
-
-def _spread(g: Mixture, mean: np.ndarray) -> np.ndarray:
-    dev = g.means - mean[..., None, :]
-    return dev * dev
-
-
-def total_mean(g: Mixture) -> np.ndarray:
-    """Mixture-weighted mean, one value per output dimension."""
-    return _mix(g.weights, g.means)
-
-
-def explained_variance(g: Mixture) -> np.ndarray:
-    """Variance over the mixture index of the mixture means, per dimension."""
-    return _mix(g.weights, _spread(g, total_mean(g)))
-
-
-def unexplained_variance(g: Mixture) -> np.ndarray:
-    """Mixture-weighted average of the per-mixture variances, per dimension."""
-    return _mix(g.weights, g.variances)
-
-
-def total_variance(g: Mixture) -> np.ndarray:
-    """Predictive variance of the mixture, per dimension."""
-    return _mix(g.weights, g.variances + _spread(g, total_mean(g)))
 
 
 @dataclass
@@ -77,9 +54,12 @@ class UncertaintyReport:
 
 
 def report_from_gmm(g: Mixture) -> UncertaintyReport:
-    """All moments of a mixture or a batch of mixtures, the total mean once."""
-    mean = total_mean(g)
-    spread = _spread(g, mean)
+    """All moments of a mixture or a batch of mixtures, per output dimension.
+    Explained is the weighted spread of the means, unexplained the weighted
+    mean of the variances, and the total variance their sum."""
+    mean = _mix(g.weights, g.means)
+    dev = g.means - mean[..., None, :]
+    spread = dev * dev
     map_index = np.argmax(g.weights, axis=-1)
     if map_index.ndim == 0:
         map_index = int(map_index)
@@ -113,8 +93,8 @@ def report(model: MdnModel, x: np.ndarray) -> UncertaintyReport:
 class McDropoutReport:
     variance: np.ndarray
     num_samples: int
-    sample_means: np.ndarray | None = None
-    sample_variances: np.ndarray | None = None
+    sample_means: np.ndarray  # (T, d): the MAP mixture's mean in each sample
+    sample_variances: np.ndarray  # (T, d): and its variance
 
 
 def mc_dropout_variance(
@@ -122,7 +102,6 @@ def mc_dropout_variance(
     x: np.ndarray,
     num_samples: int,
     rng: np.random.Generator,
-    keep_samples: bool = False,
 ) -> McDropoutReport:
     """Predictive variance from stochastic forward passes with dropout.
 
@@ -158,6 +137,6 @@ def mc_dropout_variance(
     return McDropoutReport(
         variance=variance,
         num_samples=num_samples,
-        sample_means=means if keep_samples else None,
-        sample_variances=variances if keep_samples else None,
+        sample_means=means,
+        sample_variances=variances,
     )

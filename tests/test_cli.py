@@ -127,6 +127,36 @@ def test_grid_missing_model_fails(tmp_path):
     assert code != 0
 
 
+def test_grid_refuses_truncated_model_file(tmp_path, capsys):
+    path = tmp_path / "m.bin"
+    build_mdn(2, [8], 3, 1, seed=0).save(path)
+    path.write_bytes(path.read_bytes()[:-100])
+    code = run_cli(
+        "--out-dir", str(tmp_path / "runs"), "grid", "--set", f"grid.model={path}"
+    )
+    assert code == 2
+    assert f"{path}: truncated model file" in capsys.readouterr().err
+
+
+def test_readme_scenario_line_builds_the_acceptance_model(tmp_path, monkeypatch):
+    # README's line is `--set train.epochs=400` (SCENARIO_EPOCHS); one epoch
+    # on both sides checks the rest of the recipe
+    from mdnuq import acceptance
+
+    monkeypatch.setattr(acceptance, "SCENARIO_EPOCHS", 1)
+    code = run_cli(
+        "--out-dir", str(tmp_path), "train",
+        "--set", "train.task=heavy_noise",
+        "--set", "train.epochs=1",
+        "--set", "train.batch_size=128",
+    )
+    assert code == 0
+    (run_dir,) = run_dirs(tmp_path)
+    direct = tmp_path / "direct.bin"
+    acceptance.AcceptanceContext(seed=0).scenario_model("heavy_noise").save(direct)
+    assert (run_dir / "model.bin").read_bytes() == direct.read_bytes()
+
+
 def test_drive_safe_mode_and_unknown_policy(tmp_path):
     code = run_cli(
         "--out-dir", str(tmp_path), "drive",

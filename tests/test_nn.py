@@ -25,7 +25,7 @@ def small_net(seed=0, wd=0.0, keep=1.0):
 def test_parameter_count_matches_dimension_arithmetic():
     net = init_mlp(MlpConfig(2, [256, 256], 60, seed=7))
     expected = (2 * 256 + 256) + (256 * 256 + 256) + (256 * 60 + 60)
-    assert net.num_parameters == expected
+    assert sum(a.size for a in net.parameter_arrays()) == expected
 
 
 def test_same_config_gives_bit_identical_networks():
@@ -276,3 +276,23 @@ def test_corrupt_model_file_rejected(tmp_path):
     path.write_bytes(b"not a model")
     with pytest.raises(ConfigError):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda b: b[:-100], "truncated"),  # cut inside the last layer
+        (lambda b: b[:12], "truncated"),  # cut inside the header
+        (lambda b: b + bytes(16), "unexpected bytes after the last layer"),
+    ],
+    ids=["cut-in-last-layer", "cut-in-header", "trailing-bytes"],
+)
+def test_damaged_model_file_is_refused_naming_its_path(tmp_path, damage, message):
+    from mdnuq.modelio import load_model, save_model
+
+    path = tmp_path / "net.bin"
+    save_model(path, small_net(seed=3))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ConfigError, match=message) as err:
+        load_model(path)
+    assert str(path) in str(err.value)

@@ -21,10 +21,11 @@ from mdnuq.policy import (
     collect_demonstrations,
     count_lane_changes,
     decide_mode,
-    expert_policy,
+    expert_target_lane,
     learned_policy,
     run_episode,
     evaluate_suite,
+    steer_toward_lane,
     write_metrics_csv,
     METRICS_COLUMNS,
 )
@@ -122,8 +123,9 @@ def test_default_explained_gate_fires_on_split_heading_mixture():
 def test_expert_goes_straight_on_empty_road():
     track = Track()
     ego = CarState(x=0.0, y=track.lane_center(2), speed_kmh=90.0)
-    target = expert_policy(features_for(track, ego, []), 2, track)
-    assert (target.cos_component, target.sin_component) == (1.0, 0.0)
+    features = features_for(track, ego, [])
+    assert expert_target_lane(features, 2, track) == 2
+    assert steer_toward_lane(features, 2, 2, track) == 0.0
 
 
 def test_expert_steers_toward_larger_open_gap():
@@ -132,15 +134,15 @@ def test_expert_steers_toward_larger_open_gap():
     blocker = CarState(x=15.0, y=track.lane_center(2), speed_kmh=60.0)
     left_car = CarState(x=45.0, y=track.lane_center(3), speed_kmh=60.0)
     # right lane fully open (gap d_max), left lane has a car at 40m: right wins
-    target = expert_policy(features_for(track, ego, [blocker, left_car]), 2, track)
-    assert target.sin_component < 0.0  # steers right (negative lateral)
+    features = features_for(track, ego, [blocker, left_car])
+    assert expert_target_lane(features, 2, track) == 1
+    assert steer_toward_lane(features, 2, 1, track) < 0.0  # steers right (negative lateral)
 
     # now block the right lane harder than the left: left wins
     right_car = CarState(x=25.0, y=track.lane_center(1), speed_kmh=60.0)
-    target = expert_policy(
-        features_for(track, ego, [blocker, left_car, right_car]), 2, track
-    )
-    assert target.sin_component > 0.0
+    features = features_for(track, ego, [blocker, left_car, right_car])
+    assert expert_target_lane(features, 2, track) == 3
+    assert steer_toward_lane(features, 2, 3, track) > 0.0
 
 
 def test_expert_respects_rear_gap_safety():
@@ -149,18 +151,19 @@ def test_expert_respects_rear_gap_safety():
     blocker = CarState(x=12.0, y=track.lane_center(2), speed_kmh=60.0)
     tail_left = CarState(x=-5.0, y=track.lane_center(3), speed_kmh=80.0)
     tail_right = CarState(x=-5.0, y=track.lane_center(1), speed_kmh=80.0)
-    target = expert_policy(
-        features_for(track, ego, [blocker, tail_left, tail_right]), 2, track
-    )
-    assert target.sin_component == 0.0  # both sides rear-unsafe: stay in lane
+    features = features_for(track, ego, [blocker, tail_left, tail_right])
+    assert expert_target_lane(features, 2, track) == 2  # both sides rear-unsafe: stay in lane
 
 
 def test_expert_never_targets_a_missing_lane():
     track = Track()
     ego = CarState(x=0.0, y=track.lane_center(track.num_lanes - 1), speed_kmh=90.0)
     blocker = CarState(x=10.0, y=ego.y, speed_kmh=60.0)
-    target = expert_policy(features_for(track, ego, [blocker]), track.num_lanes - 1, track)
-    assert target.sin_component <= 0.0  # leftmost lane: never steer further left
+    lane = track.num_lanes - 1
+    features = features_for(track, ego, [blocker])
+    target = expert_target_lane(features, lane, track)
+    assert target <= lane  # leftmost lane: never target a lane further left
+    assert steer_toward_lane(features, lane, target, track) <= 0.0
 
 
 # --- demonstrations ----------------------------------------------------------

@@ -4,15 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdnuq.mdn import GmmBatch, GmmParams, build_mdn
 from mdnuq.nn import ConfigError
-from mdnuq.uncertainty import (
-    explained_variance,
-    mc_dropout_variance,
-    report,
-    report_from_gmm,
-    total_mean,
-    total_variance,
-    unexplained_variance,
-)
+from mdnuq.uncertainty import mc_dropout_variance, report, report_from_gmm
 
 from oracles import moments_by_enumeration, per_sample_mc_dropout, random_gmm, sample_gmm
 
@@ -27,12 +19,12 @@ def gmm(w, means, variances):
 
 def test_total_mean_single_mixture():
     g = gmm([1.0], [[2.5, -1.0]], [[0.3, 0.4]])
-    assert np.array_equal(total_mean(g), np.array([2.5, -1.0]))
+    assert np.array_equal(report_from_gmm(g).total_mean, np.array([2.5, -1.0]))
 
 
 def test_total_mean_symmetric_pair_cancels():
     g = gmm([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
-    assert total_mean(g)[0] == pytest.approx(0.0, abs=0)
+    assert report_from_gmm(g).total_mean[0] == pytest.approx(0.0, abs=0)
 
 
 def test_total_mean_against_sampling():
@@ -40,7 +32,7 @@ def test_total_mean_against_sampling():
     g = random_gmm(rng, max_d=1)
     samples = sample_gmm(g, 1_000_000, rng)
     se = samples.std(axis=0) / np.sqrt(len(samples))
-    assert np.all(np.abs(samples.mean(axis=0) - total_mean(g)) < 3 * se)
+    assert np.all(np.abs(samples.mean(axis=0) - report_from_gmm(g).total_mean) < 3 * se)
 
 
 def test_total_mean_against_sampling_multidim():
@@ -49,28 +41,28 @@ def test_total_mean_against_sampling_multidim():
     g = random_gmm(rng)
     samples = sample_gmm(g, 1_000_000, rng)
     se = samples.std(axis=0) / np.sqrt(len(samples))
-    assert np.all(np.abs(samples.mean(axis=0) - total_mean(g)) < 4 * se)
+    assert np.all(np.abs(samples.mean(axis=0) - report_from_gmm(g).total_mean) < 4 * se)
 
 
 def test_explained_variance_examples():
-    assert explained_variance(gmm([1.0], [[3.0]], [[0.5]]))[0] == 0.0
+    assert report_from_gmm(gmm([1.0], [[3.0]], [[0.5]])).explained[0] == 0.0
     g = gmm([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
-    assert explained_variance(g)[0] == pytest.approx(1.0, abs=0)
+    assert report_from_gmm(g).explained[0] == pytest.approx(1.0, abs=0)
 
 
 def test_unexplained_variance_examples():
-    assert unexplained_variance(gmm([1.0], [[0.0]], [[2.5]]))[0] == 2.5
+    assert report_from_gmm(gmm([1.0], [[0.0]], [[2.5]])).unexplained[0] == 2.5
     g = gmm([0.5, 0.5], [[0.0], [0.0]], [[1.0], [3.0]])
-    assert unexplained_variance(g)[0] == pytest.approx(2.0)
+    assert report_from_gmm(g).unexplained[0] == pytest.approx(2.0)
 
 
 def test_total_variance_examples():
     g = gmm([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
-    assert total_variance(g)[0] == pytest.approx(2.0)
+    assert report_from_gmm(g).total_variance[0] == pytest.approx(2.0)
     g1 = gmm([1.0], [[0.7]], [[1.3]])
-    assert total_variance(g1)[0] == pytest.approx(1.3, abs=0)
+    assert report_from_gmm(g1).total_variance[0] == pytest.approx(1.3, abs=0)
     degenerate = gmm([1.0, 0.0, 0.0], [[1.0], [9.0], [-9.0]], [[0.5], [4.0], [4.0]])
-    assert total_variance(degenerate)[0] == pytest.approx(0.5, abs=0)
+    assert report_from_gmm(degenerate).total_variance[0] == pytest.approx(0.5, abs=0)
 
 
 def test_total_variance_against_sampling():
@@ -85,29 +77,28 @@ def test_moments_match_enumeration_oracle():
     for _ in range(50):
         g = random_gmm(rng, max_k=5)
         mean_ref, expl_ref, unexpl_ref = moments_by_enumeration(g)
-        assert np.allclose(total_mean(g), mean_ref, rtol=1e-10, atol=1e-12)
-        assert np.allclose(explained_variance(g), expl_ref, rtol=1e-8, atol=1e-10)
-        assert np.allclose(unexplained_variance(g), unexpl_ref, rtol=1e-12)
+        rep = report_from_gmm(g)
+        assert np.allclose(rep.total_mean, mean_ref, rtol=1e-10, atol=1e-12)
+        assert np.allclose(rep.explained, expl_ref, rtol=1e-8, atol=1e-10)
+        assert np.allclose(rep.unexplained, unexpl_ref, rtol=1e-12)
 
 
 def test_law_of_total_variance_small_batch():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        g = random_gmm(rng)
-        total = total_variance(g)
-        parts = explained_variance(g) + unexplained_variance(g)
-        assert np.allclose(total, parts, rtol=1e-10)
-        assert np.all(explained_variance(g) >= 0)
-        assert np.all(unexplained_variance(g) > 0)
+        rep = report_from_gmm(random_gmm(rng))
+        assert np.allclose(rep.total_variance, rep.explained + rep.unexplained, rtol=1e-10)
+        assert np.all(rep.explained >= 0)
+        assert np.all(rep.unexplained > 0)
 
 
 def test_explained_zero_iff_active_means_equal():
     same = gmm([0.3, 0.7], [[2.0, -1.0], [2.0, -1.0]], np.ones((2, 2)))
-    assert np.all(explained_variance(same) == 0.0)
+    assert np.all(report_from_gmm(same).explained == 0.0)
     zero_weight = gmm([1.0, 0.0], [[2.0], [99.0]], [[1.0], [1.0]])
-    assert np.all(explained_variance(zero_weight) == 0.0)
+    assert np.all(report_from_gmm(zero_weight).explained == 0.0)
     spread = gmm([0.5, 0.5], [[1.0], [1.1]], [[1.0], [1.0]])
-    assert explained_variance(spread)[0] > 0.0
+    assert report_from_gmm(spread).explained[0] > 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,9 +107,8 @@ def test_explained_scales_quadratically(c, seed):
     rng = np.random.default_rng(seed)
     g = random_gmm(rng, max_k=6, max_d=1)
     scaled = GmmParams(g.weights, c * g.means, g.variances)
-    assert np.allclose(
-        explained_variance(scaled), c * c * explained_variance(g), rtol=1e-9, atol=1e-12
-    )
+    got, want = report_from_gmm(scaled).explained, c * c * report_from_gmm(g).explained
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_report_fields_and_purity():
@@ -159,7 +149,7 @@ def test_mc_dropout_keep_prob_one_reduces_to_mean_variance():
     # identity masks: the mean-variance term cancels, leaving mean of sigma
     model = build_mdn(2, [8], 2, 1, dropout_keep_prob=1.0, seed=8)
     x = np.array([0.1, 0.9])
-    rep = mc_dropout_variance(model, x, 8, np.random.default_rng(0), keep_samples=True)
+    rep = mc_dropout_variance(model, x, 8, np.random.default_rng(0))
     g = model.gmm(x)
     j = int(np.argmax(g.weights))
     assert np.allclose(rep.variance, g.variances[j], rtol=1e-12)
@@ -181,7 +171,7 @@ def test_mc_dropout_matches_per_sample_oracle_bit_for_bit(k, d, keep):
     model = build_mdn(3, [16, 16], k, d, dropout_keep_prob=keep, seed=100 * k + 10 * d)
     points = np.random.default_rng(k + d).normal(0.0, 3.0, size=(5, 3))
     for i, x in enumerate(points):
-        rep = mc_dropout_variance(model, x, 12, np.random.default_rng(i), keep_samples=True)
+        rep = mc_dropout_variance(model, x, 12, np.random.default_rng(i))
         variance, means, variances = per_sample_mc_dropout(model, x, 12, np.random.default_rng(i))
         assert np.array_equal(rep.variance, variance)
         assert np.array_equal(rep.sample_means, means)
@@ -195,7 +185,7 @@ def test_mc_dropout_tied_weights_pick_index_zero_like_the_oracle():
     head.weights[:] = 0.0
     head.biases[:] = 0.0
     x = np.array([0.3, -0.2])
-    rep = mc_dropout_variance(model, x, 6, np.random.default_rng(2), keep_samples=True)
+    rep = mc_dropout_variance(model, x, 6, np.random.default_rng(2))
     variance, means, variances = per_sample_mc_dropout(model, x, 6, np.random.default_rng(2))
     assert np.array_equal(rep.variance, variance)
     assert np.array_equal(rep.sample_means, means)
@@ -289,11 +279,12 @@ def test_moments_accept_a_batch_of_mixtures():
     w = rng.random((6, 4)) + 1e-3
     w /= w.sum(axis=1, keepdims=True)
     batch = GmmBatch(w, rng.normal(0.0, 3.0, (6, 4, 3)), rng.uniform(0.05, 4.5, (6, 4, 3)))
-    for fn in (total_mean, explained_variance, unexplained_variance, total_variance):
-        got = fn(batch)
+    rep = report_from_gmm(batch)
+    rows = [report_from_gmm(batch.row(i)) for i in range(6)]
+    for name in ("total_mean", "explained", "unexplained", "total_variance"):
+        got = getattr(rep, name)
         assert got.shape == (6, 3)
         for i in range(6):
-            assert np.array_equal(got[i], fn(batch.row(i))), fn.__name__
-    rep = report_from_gmm(batch)
+            assert np.array_equal(got[i], getattr(rows[i], name)), name
     assert np.array_equal(rep.map_index, np.argmax(w, axis=1))
     assert np.array_equal(rep.map_mean, batch.means[np.arange(6), rep.map_index])
