@@ -2,27 +2,28 @@
 
 `run_suite` executes all criteria in order and returns structured results;
 the pytest suite asserts the same functions one by one. Heavy artifacts
-are built once per context and shared, each by the program's own recipe:
-the scenario models by `synthetic.train_scenario_model`, the driving bundle
-by `policy.train_policy_models`. Criteria 1 and 2 check the decomposition
-that `uncertainty.report_from_gmm` computes. All seeds are fixed, so reruns
-are reproducible; the oracles here (sampling, finite differences,
-exhaustive scans) are written independently of the library code paths they
-check.
+are built once per context and shared, each by the program's own code and
+recipe, read here, not restated: `synthetic.train_scenario_model` with
+`synthetic.scenario_recipe`, and `policy.train_policy_models` with
+`PolicyTrainConfig()` on `policy.DRIVING_EPISODES` demonstrations. Criteria
+1 and 2 check the decomposition that `uncertainty.report_from_gmm`
+computes. All seeds are fixed, so reruns are reproducible; the oracles
+here (sampling, finite differences, exhaustive scans) are written
+independently of the library code paths they check.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mdn import GmmParams, MdnConfig, MdnModel, PolicyTrainConfig, build_mdn, nll_loss, transform_batch
+from .mdn import GmmParams, MdnConfig, MdnModel, PolicyTrainConfig, nll_loss, transform_batch
 from .nn import MlpConfig, init_mlp
 from .policy import (
-    DemoRandomization,
+    DRIVING_EPISODES,
     ModelBundle,
     PolicyKind,
     SuiteRow,
@@ -43,20 +44,12 @@ from .sim import (
     step_unicycle,
     wrap_angle_deg,
 )
-from .synthetic import evaluate_grid, quadrant_stats, target_fn, train_scenario_model
+from .synthetic import evaluate_grid, quadrant_stats, scenario_recipe, target_fn, train_scenario_model
 from .uncertainty import mc_dropout_variance, report, report_from_gmm
 
-NETWORK_TOPOLOGY = (256, 256)  # two hidden layers of 256, tanh
-SCENARIO_EPOCHS = 400
-SCENARIO_BATCH = 128
-# training-time dropout keeps the mixtures diverse, which the absence-of-data
-# signature needs; the composition run trains without it because MAP-mean
-# branch reconstruction wants noise-free convergence
-SCENARIO_KEEP_PROB = {"heavy_noise": 0.8, "absence_of_data": 0.8, "composition": 1.0}
-
-DRIVING_EPISODES = 240
+# perfbench/build_models.py reads DRIVING_EPISODES and DRIVING_EPOCHS from here
+DRIVING_EPOCHS = PolicyTrainConfig().epochs
 DRIVING_SEEDS = 50
-DRIVING_EPOCHS = 200
 DRIVING_POLICIES = [
     PolicyKind.SAFE_MODE,
     PolicyKind.UALFD,
@@ -103,14 +96,7 @@ class AcceptanceContext:
 
     def scenario_model(self, kind: str) -> MdnModel:
         if kind not in self._scenario_models:
-            recipe = PolicyTrainConfig(
-                hidden_dims=NETWORK_TOPOLOGY,
-                epochs=SCENARIO_EPOCHS,
-                batch_size=SCENARIO_BATCH,
-                dropout_keep_prob=SCENARIO_KEEP_PROB[kind],
-                max_grad_norm=None,
-            )
-            self._scenario_models[kind], _ = train_scenario_model(kind, recipe, seed=self.seed)
+            self._scenario_models[kind], _ = train_scenario_model(kind, seed=self.seed)
         return self._scenario_models[kind]
 
     def scenario_grid(self, kind: str):
@@ -121,12 +107,8 @@ class AcceptanceContext:
     def driving(self) -> tuple[ModelBundle, list[SuiteRow], float]:
         if self._driving is None:
             t0 = time.perf_counter()
-            demos = collect_demonstrations(
-                DRIVING_EPISODES, DemoRandomization(), seed=self.seed + 100
-            )
-            bundle = train_policy_models(
-                demos, PolicyTrainConfig(epochs=DRIVING_EPOCHS), seed=self.seed
-            )
+            demos = collect_demonstrations(DRIVING_EPISODES, seed=self.seed + 100)
+            bundle = train_policy_models(demos, PolicyTrainConfig(), seed=self.seed)
             rows = evaluate_suite(
                 DRIVING_POLICIES, DRIVING_SEEDS, [1.0], bundle, seed_base=self.seed
             )
@@ -280,13 +262,8 @@ def criterion_composition_signature(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_k1_degeneracy(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
-    recipe = PolicyTrainConfig(
-        hidden_dims=NETWORK_TOPOLOGY,
-        num_mixtures=1,
-        epochs=60,
-        batch_size=SCENARIO_BATCH,
-        weight_decay=0.0,
-        max_grad_norm=None,
+    recipe = replace(
+        scenario_recipe("composition"), num_mixtures=1, epochs=60, weight_decay=0.0
     )
     model, _ = train_scenario_model("composition", recipe, seed=ctx.seed)
     grid = evaluate_grid(model, 40)
@@ -323,9 +300,7 @@ def time_single_vs_mc(
 
 def criterion_timing(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
-    model = build_mdn(
-        2, list(NETWORK_TOPOLOGY), 10, 1, dropout_keep_prob=0.8, seed=ctx.seed
-    )
+    model = scenario_recipe("heavy_noise").fresh_mdn(2, 1, ctx.seed)  # untrained
     reps = 1000
     single, mc = time_single_vs_mc(
         model, np.zeros(2), 50, reps, np.random.default_rng(ctx.seed)

@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, grid, drive, bench, suite. `train` runs one of the two
-training recipes, `synthetic.train_scenario_model` for a scenario or
-`policy.train_policy_models` for driving. Options live in a flat
-key=value config file (dotted sections, e.g. ``train.epochs = 500``);
-command-line flags override file values, and unknown keys are rejected by
-name. Every run writes into a fresh run-stamped directory under the output
+Subcommands: train, grid, drive, bench, suite. `train` runs
+`synthetic.train_scenario_model` or `policy.train_policy_models`, and a train
+key left unset takes the task's recipe value, which lives beside that code.
+Options live in a flat key=value config file (dotted sections, e.g.
+``train.epochs = 500``); command-line flags override file values, and
+unknown keys are rejected by name. Every run writes into a fresh run-stamped directory under the output
 root and echoes the resolved configuration there. Only the output root and
 the worker count may come from the environment (MDNUQ_OUT_DIR, MDNUQ_JOBS).
 """
@@ -26,6 +26,7 @@ import numpy as np
 from .mdn import PolicyTrainConfig, load_mdn
 from .nn import ConfigError
 from .policy import (
+    DRIVING_EPISODES,
     ModelBundle,
     PolicyKind,
     collect_demonstrations,
@@ -36,28 +37,37 @@ from .policy import (
 )
 from .synthetic import (
     SCENARIO_KINDS,
+    ScenarioSpec,
     evaluate_grid,
     quadrant_stats,
+    scenario_recipe,
     train_scenario_model,
     write_grid_csv,
     write_quadrant_csv,
 )
 from . import acceptance as acceptance_mod
 
+# a train key left UNSET takes the task's recipe value; each recipe key names
+# the PolicyTrainConfig field it replaces and the parser of its value
+UNSET = "unset"
+RECIPE_KEYS = {
+    "train.mixtures": ("num_mixtures", int),
+    "train.hidden_dims": ("hidden_dims", lambda v: tuple(int(d) for d in str(v).split(",") if d.strip())),
+    "train.epochs": ("epochs", int),
+    "train.batch_size": ("batch_size", int),
+    "train.learning_rate": ("learning_rate", float),
+    "train.weight_decay": ("weight_decay", float),
+    "train.keep_prob": ("dropout_keep_prob", float),
+    "train.sigma_max": ("sigma_max", float),
+}
+
 # every option each subcommand accepts, with its default (None = required)
 COMMAND_KEYS: dict[str, dict[str, object]] = {
     "train": {
         "train.task": None,  # scenario name, or "driving"
-        "train.mixtures": 10,
-        "train.hidden_dims": "256,256",
-        "train.epochs": 2000,
-        "train.batch_size": 64,
-        "train.learning_rate": 1e-3,
-        "train.weight_decay": 1e-6,
-        "train.keep_prob": 0.8,
-        "train.sigma_max": 5.0,
-        "train.num_points": 4000,  # scenario only
-        "train.episodes": 150,  # driving only
+        **dict.fromkeys(RECIPE_KEYS, UNSET),
+        "train.num_points": UNSET,  # scenario only
+        "train.episodes": UNSET,  # driving only
         "train.seed": 0,
     },
     "grid": {
@@ -117,7 +127,27 @@ def resolve_config(
     missing = [k for k, v in resolved.items() if v is None]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
+    if command == "train":
+        # fill the unset keys, so config.txt records what the run trained with
+        recipe, size_key, size = train_recipe(resolved)
+        resolved.update({key: getattr(recipe, field) for key, (field, _) in RECIPE_KEYS.items()})
+        resolved.update({"train.hidden_dims": ",".join(map(str, recipe.hidden_dims)), size_key: size})
     return resolved
+
+
+def train_recipe(cfg: dict[str, object]) -> tuple[PolicyTrainConfig, str, int]:
+    """The task's recipe with each set key replacing its field, and the task's
+    data-size key with its value."""
+    task = str(cfg["train.task"])
+    if task == "driving":
+        recipe, size_key, size = PolicyTrainConfig(), "train.episodes", DRIVING_EPISODES
+    elif task in SCENARIO_KINDS:
+        recipe, size_key, size = scenario_recipe(task), "train.num_points", ScenarioSpec.num_points
+    else:
+        raise ConfigError(f"unknown train.task {task!r}")
+    given = {f: parse(cfg[k]) for k, (f, parse) in RECIPE_KEYS.items() if cfg[k] != UNSET}
+    size = size if cfg[size_key] == UNSET else int(cfg[size_key])
+    return replace(recipe, **given), size_key, size
 
 
 def make_run_dir(out_root: Path, command: str) -> Path:
@@ -138,15 +168,6 @@ def echo_config(run_dir: Path, command: str, cfg: dict[str, object]) -> None:
     (run_dir / "config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _hidden_dims(value: object) -> list[int]:
-    if isinstance(value, int):
-        return [value]
-    dims = [int(v) for v in str(value).split(",") if v.strip()]
-    if not dims:
-        raise ConfigError("hidden_dims must name at least one layer")
-    return dims
-
-
 def _write_trace_csv(path: Path, traces: dict[str, list[float]]) -> None:
     """One row per epoch, one column per named loss trace."""
     with open(path, "w", newline="") as fh:
@@ -159,32 +180,18 @@ def _write_trace_csv(path: Path, traces: dict[str, list[float]]) -> None:
 def cmd_train(cfg: dict[str, object], run_dir: Path) -> None:
     task = str(cfg["train.task"])
     seed = int(cfg["train.seed"])
-    recipe = PolicyTrainConfig(
-        hidden_dims=tuple(_hidden_dims(cfg["train.hidden_dims"])),
-        num_mixtures=int(cfg["train.mixtures"]),
-        epochs=int(cfg["train.epochs"]),
-        batch_size=int(cfg["train.batch_size"]),
-        learning_rate=float(cfg["train.learning_rate"]),
-        weight_decay=float(cfg["train.weight_decay"]),
-        dropout_keep_prob=float(cfg["train.keep_prob"]),
-        sigma_max=float(cfg["train.sigma_max"]),
-    )
+    recipe, _, size = train_recipe(cfg)
     if task == "driving":
-        # the acceptance pipeline's recipe: demonstrations from seed + 100,
+        # the acceptance pipeline's path: demonstrations from seed + 100,
         # then the K=10, K=1 and regression models of one bundle
-        demos = collect_demonstrations(int(cfg["train.episodes"]), seed=seed + 100)
+        demos = collect_demonstrations(size, seed=seed + 100)
         bundle = train_policy_models(demos, recipe, seed=seed)
         bundle.save(run_dir)
         traces = bundle.loss_traces
-    elif task in SCENARIO_KINDS:
-        # scenario models train without the driving recipe's gradient clipping
-        model, trace = train_scenario_model(
-            task, replace(recipe, max_grad_norm=None), seed, int(cfg["train.num_points"])
-        )
+    else:
+        model, trace = train_scenario_model(task, recipe, seed, size)
         model.save(run_dir / "model.bin")
         traces = {"nll": trace}
-    else:
-        raise ConfigError(f"unknown train.task {task!r}")
     _write_trace_csv(run_dir / "loss_trace.csv", traces)
     print(f"model files and loss_trace.csv written to {run_dir}")
     for name, trace in traces.items():

@@ -237,8 +237,8 @@ def load_mdn(path) -> MdnModel:
 
 @dataclass
 class TrainSchedule:
-    epochs: int = 2000
-    batch_size: int = 64
+    epochs: int
+    batch_size: int
     learning_rate: float = 1e-3
     max_grad_norm: float | None = None
 
@@ -246,11 +246,11 @@ class TrainSchedule:
 @dataclass
 class PolicyTrainConfig:
     """One training recipe: network, mixture head and schedule. The defaults
-    are the driving policies'; scenario training passes its own."""
+    are the driving recipe; `synthetic.scenario_recipe` gives each scenario's."""
 
     hidden_dims: tuple[int, ...] = (256, 256)
     num_mixtures: int = 10
-    epochs: int = 150
+    epochs: int = 200
     batch_size: int = 128
     learning_rate: float = 1e-3
     weight_decay: float = 1e-6
@@ -262,6 +262,14 @@ class PolicyTrainConfig:
 
     def schedule(self) -> TrainSchedule:
         return TrainSchedule(self.epochs, self.batch_size, self.learning_rate, self.max_grad_norm)
+
+    def fresh_mdn(self, input_dim: int, output_dim: int, seed: int) -> MdnModel:
+        """An untrained mixture model with this recipe's network and head."""
+        return build_mdn(
+            input_dim, list(self.hidden_dims), self.num_mixtures, output_dim,
+            sigma_max=self.sigma_max, dropout_keep_prob=self.dropout_keep_prob,
+            weight_decay=self.weight_decay, seed=seed,
+        )
 
 
 def train_mdn(

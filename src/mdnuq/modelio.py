@@ -67,7 +67,8 @@ def _read(fh, size: int, path) -> bytes:
 
 def load_model(path: str | Path):
     """Load a model file; returns (network, mdn_config_or_None). A file cut
-    short or with bytes after the last layer is refused with a ConfigError."""
+    short, with bytes after the last layer, or with a header that is not JSON
+    or lacks a key is refused with a ConfigError naming it."""
     from .mdn import MdnConfig  # local import to avoid a cycle
 
     with open(path, "rb") as fh:
@@ -75,19 +76,31 @@ def load_model(path: str | Path):
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a model file (bad magic)")
         (hlen,) = struct.unpack("<I", _read(fh, 4, path))
-        header = json.loads(_read(fh, hlen, path).decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ConfigError(f"{path}: unsupported format version")
-        m = header["mlp"]
-        cfg = MlpConfig(
-            input_dim=m["input_dim"],
-            hidden_dims=list(m["hidden_dims"]),
-            output_dim=m["output_dim"],
-            activation=m["activation"],
-            dropout_keep_prob=m["dropout_keep_prob"],
-            weight_decay=m["weight_decay"],
-            seed=m["seed"],
-        )
+        try:
+            header = json.loads(_read(fh, hlen, path).decode("utf-8"))
+            if header.get("format_version") != FORMAT_VERSION:
+                raise ConfigError(f"{path}: unsupported format version")
+            m = header["mlp"]
+            cfg = MlpConfig(
+                input_dim=m["input_dim"],
+                hidden_dims=list(m["hidden_dims"]),
+                output_dim=m["output_dim"],
+                activation=m["activation"],
+                dropout_keep_prob=m["dropout_keep_prob"],
+                weight_decay=m["weight_decay"],
+                seed=m["seed"],
+            )
+            head = header.get("mdn")
+            mdn_cfg = None
+            if head is not None:
+                mdn_cfg = MdnConfig(
+                    num_mixtures=head["num_mixtures"],
+                    output_dim=head["output_dim"],
+                    sigma_max=head["sigma_max"],
+                    nll_epsilon=head["nll_epsilon"],
+                )
+        except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: unreadable model header ({type(exc).__name__}: {exc})") from exc
         dims = [cfg.input_dim, *cfg.hidden_dims, cfg.output_dim]
         layers = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -96,14 +109,4 @@ def load_model(path: str | Path):
             layers.append(DenseLayer(w.reshape(fan_out, fan_in).copy(), b.copy()))
         if fh.read(1):
             raise ConfigError(f"{path}: unexpected bytes after the last layer")
-        net = MlpNetwork(cfg, layers)
-        head = header.get("mdn")
-        mdn_cfg = None
-        if head is not None:
-            mdn_cfg = MdnConfig(
-                num_mixtures=head["num_mixtures"],
-                output_dim=head["output_dim"],
-                sigma_max=head["sigma_max"],
-                nll_epsilon=head["nll_epsilon"],
-            )
-        return net, mdn_cfg
+        return MlpNetwork(cfg, layers), mdn_cfg

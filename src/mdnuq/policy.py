@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import uncertainty
-from .mdn import MdnModel, PolicyTrainConfig, TrainingSet, build_mdn, load_mdn, train_mdn, predict_map
+from .mdn import MdnModel, PolicyTrainConfig, TrainingSet, load_mdn, train_mdn, predict_map
 from .modelio import load_model, save_model
 from .nn import ConfigError, MlpConfig, MlpNetwork, Optimizer, init_mlp, mse_loss, train_network
 from .sim import (
@@ -270,6 +270,9 @@ def _run_demo_episode(
         if sim.state.ego.x >= track.goal:
             break
     return episode_x, episode_y, False
+
+
+DRIVING_EPISODES = 240  # the driving recipe's episodes; the rest of it is PolicyTrainConfig()
 
 
 def collect_demonstrations(
@@ -723,21 +726,9 @@ def train_policy_models(
     input_dim = demos.inputs.shape[1]
     out_dim = demos.targets.shape[1]
 
-    def fresh_mdn(k: int, seed_offset: int) -> MdnModel:
-        return build_mdn(
-            input_dim,
-            list(cfg.hidden_dims),
-            k,
-            out_dim,
-            sigma_max=cfg.sigma_max,
-            dropout_keep_prob=cfg.dropout_keep_prob,
-            weight_decay=cfg.weight_decay,
-            seed=seed + seed_offset,
-        )
-
-    mdn_k10 = fresh_mdn(cfg.num_mixtures, 0)
+    mdn_k10 = cfg.fresh_mdn(input_dim, out_dim, seed)
     k10_trace = train_mdn(mdn_k10, demos, schedule, seed=seed)
-    mdn_k1 = fresh_mdn(1, 1)
+    mdn_k1 = replace(cfg, num_mixtures=1).fresh_mdn(input_dim, out_dim, seed + 1)
     k1_trace = train_mdn(mdn_k1, demos, schedule, seed=seed + 1)
 
     regnet = init_mlp(

@@ -4,8 +4,10 @@ Three scenarios over the square [-6, 6]^2, all built on the same radial
 target function: one removes every sample from the first quadrant, one adds
 heavy uniform output noise inside the first quadrant, and one draws each
 target from the function or its negation by a fair coin. A mixture model
-trained on one (`train_scenario_model`, the only scenario training recipe) is
-then evaluated on a regular grid and summarized per quadrant.
+trained on one is then evaluated on a regular grid and summarized per
+quadrant. Each scenario's training recipe lives here, in `scenario_recipe`,
+and `train_scenario_model` is the one code path that trains it; the
+acceptance battery and `mdnuq train` both go through them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdn import MdnModel, PolicyTrainConfig, TrainingSet, build_mdn, train_mdn
+from .mdn import MdnModel, PolicyTrainConfig, TrainingSet, train_mdn
 from .nn import ConfigError
 from .uncertainty import report
 
@@ -81,23 +83,31 @@ def generate(spec: ScenarioSpec) -> TrainingSet:
     return TrainingSet(x, y.reshape(n, 1))
 
 
+# training-time dropout keeps the mixtures diverse, which the absence-of-data
+# signature needs; the composition run trains without it because MAP-mean
+# branch reconstruction wants noise-free convergence
+_SCENARIO_KEEP_PROB = {"heavy_noise": 0.8, "absence_of_data": 0.8, "composition": 1.0}
+
+
+def scenario_recipe(kind: str) -> PolicyTrainConfig:
+    """The recipe the acceptance battery trains each scenario model with."""
+    return PolicyTrainConfig(
+        hidden_dims=(256, 256), epochs=400, batch_size=128,
+        dropout_keep_prob=_SCENARIO_KEEP_PROB[kind], max_grad_norm=None,
+    )
+
+
 def train_scenario_model(
-    kind: str, cfg: PolicyTrainConfig, seed: int = 0, num_points: int = 4000
+    kind: str, cfg: PolicyTrainConfig | None = None, seed: int = 0,
+    num_points: int = ScenarioSpec.num_points,
 ) -> tuple[MdnModel, list[float]]:
     """Train a mixture model on one scenario, the counterpart of
     `policy.train_policy_models`: data from `seed + 1`, weights and batch order
-    from `seed`. Returns the model and its per-epoch NLL."""
+    from `seed`, and `scenario_recipe(kind)` unless `cfg` is given. Returns
+    the model and its per-epoch NLL."""
     data = generate(ScenarioSpec(kind, num_points=num_points, seed=seed + 1))
-    model = build_mdn(
-        2,
-        list(cfg.hidden_dims),
-        cfg.num_mixtures,
-        1,
-        sigma_max=cfg.sigma_max,
-        dropout_keep_prob=cfg.dropout_keep_prob,
-        weight_decay=cfg.weight_decay,
-        seed=seed,
-    )
+    cfg = cfg or scenario_recipe(kind)
+    model = cfg.fresh_mdn(2, 1, seed)
     return model, train_mdn(model, data, cfg.schedule(), seed=seed)
 
 

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import re
 import shlex
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from mdnuq.mdn import MdnConfig, build_mdn
 from mdnuq.modelio import load_model
 from mdnuq.nn import ConfigError, MlpConfig, init_mlp
 from mdnuq.policy import PolicyTrainConfig, collect_demonstrations, train_policy_models
+from mdnuq.synthetic import SCENARIO_KINDS, scenario_recipe
 
 
 def run_cli(*args) -> int:
@@ -138,23 +141,80 @@ def test_grid_refuses_truncated_model_file(tmp_path, capsys):
     assert f"{path}: truncated model file" in capsys.readouterr().err
 
 
-def test_readme_scenario_line_builds_the_acceptance_model(tmp_path, monkeypatch):
-    # README's line is `--set train.epochs=400` (SCENARIO_EPOCHS); one epoch
-    # on both sides checks the rest of the recipe
-    from mdnuq import acceptance
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_readme_scenario_line_builds_the_acceptance_model(tmp_path, monkeypatch, kind):
+    # README's line sets only train.task; one epoch on both sides checks the
+    # rest of the recipe, whose keep probability differs for composition
+    from mdnuq import acceptance, synthetic
 
-    monkeypatch.setattr(acceptance, "SCENARIO_EPOCHS", 1)
+    monkeypatch.setattr(synthetic, "scenario_recipe", lambda k: replace(scenario_recipe(k), epochs=1))
     code = run_cli(
         "--out-dir", str(tmp_path), "train",
-        "--set", "train.task=heavy_noise",
+        "--set", f"train.task={kind}",
         "--set", "train.epochs=1",
-        "--set", "train.batch_size=128",
     )
     assert code == 0
     (run_dir,) = run_dirs(tmp_path)
     direct = tmp_path / "direct.bin"
-    acceptance.AcceptanceContext(seed=0).scenario_model("heavy_noise").save(direct)
+    acceptance.AcceptanceContext(seed=0).scenario_model(kind).save(direct)
     assert (run_dir / "model.bin").read_bytes() == direct.read_bytes()
+
+
+def test_readme_driving_line_builds_the_acceptance_bundle(tmp_path, monkeypatch):
+    # README's line sets only train.task; epochs and episodes are lowered to
+    # the same two values on both sides
+    from mdnuq import acceptance
+
+    code = run_cli(
+        "--out-dir", str(tmp_path), "train",
+        "--set", "train.task=driving",
+        "--set", "train.epochs=2",
+        "--set", "train.episodes=2",
+    )
+    assert code == 0
+    (run_dir,) = run_dirs(tmp_path)
+    monkeypatch.setattr(acceptance, "PolicyTrainConfig", partial(PolicyTrainConfig, epochs=2))
+    monkeypatch.setattr(acceptance, "DRIVING_EPISODES", 2)
+    monkeypatch.setattr(acceptance, "DRIVING_SEEDS", 1)  # the bundle is compared, not its scores
+    bundle, _, _ = acceptance.AcceptanceContext(seed=0).driving()
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    bundle.save(direct)
+    for name in ("driving_mdn_k10.bin", "driving_mdn_k1.bin", "driving_regnet.bin"):
+        assert sha256(run_dir / name) == sha256(direct / name), name
+
+
+def test_config_txt_records_the_recipe_values_the_run_took(tmp_path):
+    code = run_cli(
+        "--out-dir", str(tmp_path), "train",
+        "--set", "train.task=composition",
+        "--set", "train.epochs=1",
+        "--set", "train.num_points=50",
+    )
+    assert code == 0
+    (run_dir,) = run_dirs(tmp_path)
+    lines = (run_dir / "config.txt").read_text().splitlines()
+    assert "train.batch_size = 128" in lines
+    assert "train.keep_prob = 1.0" in lines
+
+
+@pytest.mark.parametrize(
+    "name, recipe",
+    [
+        ("driving_mdn_k10.bin", PolicyTrainConfig()),
+        ("scenario_heavy_noise.bin", scenario_recipe("heavy_noise")),
+    ],
+    ids=["driving", "heavy_noise"],
+)
+def test_benchmark_models_match_the_recipes_that_rebuild_them(name, recipe):
+    # README says `mdnuq train --set train.task=<task>` rebuilds these files;
+    # a recipe changed without rebuilding them fails here
+    net, head = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "models" / name)
+    assert tuple(net.config.hidden_dims) == recipe.hidden_dims
+    assert head.num_mixtures == recipe.num_mixtures
+    assert head.sigma_max == recipe.sigma_max
+    assert net.config.weight_decay == recipe.weight_decay
+    assert net.config.dropout_keep_prob == recipe.dropout_keep_prob
 
 
 def test_drive_safe_mode_and_unknown_policy(tmp_path):
@@ -299,9 +359,9 @@ def test_driving_train_bundle_drives_and_matches_the_recipe(tmp_path):
     with open(drive_dir / "metrics.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 6
 
-    # the same recipe called directly, with the CLI's default hyperparameters
+    # the driving recipe called directly, with the same keys replaced
     demos = collect_demonstrations(2, seed=100)
-    recipe = PolicyTrainConfig(hidden_dims=(8,), epochs=2, batch_size=64, dropout_keep_prob=0.8)
+    recipe = PolicyTrainConfig(hidden_dims=(8,), epochs=2)
     bundle = train_policy_models(demos, recipe, seed=0)
     direct = tmp_path / "direct"
     direct.mkdir()

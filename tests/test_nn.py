@@ -284,8 +284,11 @@ def test_corrupt_model_file_rejected(tmp_path):
         (lambda b: b[:-100], "truncated"),  # cut inside the last layer
         (lambda b: b[:12], "truncated"),  # cut inside the header
         (lambda b: b + bytes(16), "unexpected bytes after the last layer"),
+        # same-length edits, so the header's recorded length still holds
+        (lambda b: b.replace(b'"hidden_dims"', b'"hidden_dimz"'), "header \\(KeyError: 'hidden_dims'\\)"),
+        (lambda b: b.replace(b", ", b"; ", 1), "header \\(JSONDecodeError"),
     ],
-    ids=["cut-in-last-layer", "cut-in-header", "trailing-bytes"],
+    ids=["cut-in-last-layer", "cut-in-header", "trailing-bytes", "renamed-key", "broken-json"],
 )
 def test_damaged_model_file_is_refused_naming_its_path(tmp_path, damage, message):
     from mdnuq.modelio import load_model, save_model
